@@ -11,6 +11,17 @@ run() {
 
 run cargo fmt --all --check
 
+# Fault arming (util::faults) is process-global, so a unit test that arms a
+# site races every sibling test in its binary that passes through that
+# site. Tests that arm faults live in integration-test binaries of their
+# own (crates/*/tests/); no `src/` test module may call install_spec,
+# except util's own faults tests, whose sites no other test passes.
+echo "==> no fault arming in src/ test modules"
+ARMED_IN_SRC=$(find crates src -path '*/src/*' -name '*.rs' ! -path 'crates/util/src/faults.rs' -print0 \
+    | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } t && /install_spec\(/ { print FILENAME ":" FNR ": " $0 }')
+[ -z "$ARMED_IN_SRC" ] \
+    || { echo "install_spec in a src/ test module (move the test to crates/*/tests/):"; echo "$ARMED_IN_SRC"; exit 1; }
+
 # -D warnings also hardens the in-source `#![warn(missing_docs)]` lints
 # every crate carries into errors.
 run cargo clippy --workspace --all-targets -- -D warnings
@@ -35,7 +46,9 @@ run cargo run --release -p setdisc-eval --bin experiments -- table1 --scale smok
 # Bench smoke: hot-path kernels at smoke scale, emitting the JSON perf
 # artifact. The committed BENCH_hotpath.json is the baseline perf PRs
 # compare against; --compare prints per-kernel deltas against it (read
-# before the file is overwritten). Regenerate on a quiet machine.
+# before the file is overwritten). Regenerate on a quiet machine. The
+# stage fails when a disarmed span costs more than SPAN_OVERHEAD_CEILING
+# times the bare loop of obs_span_baseline in the same run (DESIGN.md §12).
 run cargo bench -p setdisc-bench --bench bench_hotpath -- --scale smoke \
     --compare "$PWD/BENCH_hotpath.json" --out "$PWD/BENCH_hotpath.json"
 

@@ -23,7 +23,10 @@
 //! the measured input for re-fitting the `use_postings` cost model
 //! (ROADMAP item 3, DESIGN.md §14).
 
-use setdisc_bench::hotpath::{compare_lines, run_calibration, run_kernels, to_json, HotpathScale};
+use setdisc_bench::hotpath::{
+    compare_lines, run_calibration, run_kernels, span_overhead, to_json, HotpathScale,
+    SPAN_OVERHEAD_CEILING,
+};
 
 fn main() {
     let mut scale = HotpathScale::Smoke;
@@ -83,5 +86,14 @@ fn main() {
             eprintln!("wrote {path}");
         }
         None => println!("{}", doc.encode()),
+    }
+    if let Some(ratio) = span_overhead(&reports) {
+        eprintln!(
+            "disarmed span: {ratio:.2}x obs_span_baseline (ceiling {SPAN_OVERHEAD_CEILING}x)"
+        );
+        if ratio > SPAN_OVERHEAD_CEILING {
+            eprintln!("disarmed span exceeds its ceiling: a clock read, lock or allocation?");
+            std::process::exit(1);
+        }
     }
 }

@@ -335,9 +335,8 @@ pub fn run_kernels(scale: HotpathScale, filter: Option<&str>) -> Vec<KernelRepor
 
     // Telemetry guard pair: the same accumulate loop with and without a
     // disarmed span at each step. A disarmed span is one relaxed load
-    // (DESIGN.md §12), so the two medians should be within noise of each
-    // other; the hard per-op ceiling is asserted in this module's tests,
-    // where it cannot rot out of the CI gate.
+    // (DESIGN.md §12); `bench_hotpath` fails when the pair's ratio exceeds
+    // `SPAN_OVERHEAD_CEILING`.
     obs::arm(false);
     let span_iters: u64 = scale.pick(1_000_000, 4_000_000);
     run(
@@ -369,6 +368,19 @@ pub fn run_kernels(scale: HotpathScale, filter: Option<&str>) -> Vec<KernelRepor
     );
 
     reports
+}
+
+/// Ceiling on [`span_overhead`]. A disarmed span is one relaxed load and
+/// a `None`: on a 2-vCPU host the ratio read 5.1–5.9 idle and 10.1–11.8
+/// with both cores busy, while a clock read on the disarmed path read
+/// 63–93. The ceiling sits between, 2.5× above the loaded readings.
+pub const SPAN_OVERHEAD_CEILING: f64 = 30.0;
+
+/// Median `obs_span_disarmed` over median `obs_span_baseline` from the same
+/// run; `None` unless the run measured both (`--filter` can skip them).
+pub fn span_overhead(reports: &[KernelReport]) -> Option<f64> {
+    let median = |name: &str| reports.iter().find(|r| r.name == name).map(|r| r.median_ns);
+    Some(median("obs_span_disarmed")? / median("obs_span_baseline")?)
 }
 
 /// One calibration measurement: a forced run of a counting kernel over a
@@ -685,29 +697,22 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_span_overhead_is_negligible() {
-        // The §12 contract: a disarmed span site costs one relaxed load.
-        // The ceiling is absolute and deliberately generous (a relaxed
-        // load is ~1 ns; 25 ns absorbs a heavily loaded CI host) so the
-        // guard catches regressions of kind — an accidental
-        // Instant::now(), lock, or allocation on the disarmed path, each
-        // of which costs well past it — without being wall-clock flaky.
-        obs::arm(false);
-        const ITERS: u64 = 200_000;
-        let rep = time_kernel("span_guard", 15, ITERS, "spans", || {
-            let mut acc = 0u64;
-            for i in 0..ITERS {
-                let _span = obs::span(obs::Site::EngineSelect);
-                acc = acc.wrapping_add(black_box(i));
-            }
-            acc
-        });
-        let per_op = rep.median_ns / ITERS as f64;
-        assert!(
-            per_op < 25.0,
-            "disarmed span costs {per_op:.2} ns/op — something heavy \
-             crept onto the disarmed path"
-        );
+    fn span_overhead_pairs_the_guard_kernels() {
+        let rep = |name: &str, median_ns| KernelReport {
+            name: name.to_string(),
+            median_ns,
+            mean_ns: median_ns,
+            samples: 1,
+            items_per_iter: 1,
+            unit: "spans",
+        };
+        let both = [
+            rep("obs_span_disarmed", 30.0),
+            rep("obs_span_baseline", 10.0),
+        ];
+        assert_eq!(span_overhead(&both), Some(3.0));
+        assert_eq!(span_overhead(&both[..1]), None);
+        assert_eq!(span_overhead(&both[1..]), None);
     }
 
     #[test]

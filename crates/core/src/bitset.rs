@@ -198,14 +198,15 @@ pub struct EntityPostings {
 }
 
 impl EntityPostings {
-    /// Builds the index from the collection's inverted lists (`inverted[e]`
-    /// = sorted ids of the sets containing entity `e`) over `n_sets` sets.
-    pub fn build(inverted: &[Vec<SetId>], n_sets: usize) -> Self {
+    /// Builds the index from the collection's inverted lists, yielded in
+    /// entity order (the `e`-th list = sorted ids of the sets containing
+    /// entity `e`), over `n_sets` sets.
+    pub fn build<'a>(lists: impl IntoIterator<Item = &'a [SetId]>, n_sets: usize) -> Self {
         let words = IdBitmap::words_for(n_sets);
         let mut dense_entities = 0;
         let mut scan_cost = 0u64;
-        let dense = inverted
-            .iter()
+        let dense = lists
+            .into_iter()
             .map(|list| {
                 if list.is_empty() {
                     return None;
@@ -329,14 +330,14 @@ mod tests {
     fn postings_dense_threshold() {
         // 130 sets → 3 words: lists of length ≥ 3 go dense.
         let n = 130usize;
-        let inverted = vec![
+        let inverted = [
             ids(&[]),                      // absent entity
             ids(&[7]),                     // sparse
             ids(&[0, 64]),                 // sparse (length 2 < 3 words)
             ids(&[0, 64, 129]),            // dense (length 3 ≥ 3 words)
             (0..130).map(SetId).collect(), // dense
         ];
-        let p = EntityPostings::build(&inverted, n);
+        let p = EntityPostings::build(inverted.iter().map(Vec::as_slice), n);
         assert!(p.dense(EntityId(0)).is_none());
         assert!(p.dense(EntityId(1)).is_none());
         assert!(p.dense(EntityId(2)).is_none());
@@ -353,8 +354,8 @@ mod tests {
     #[test]
     fn tiny_collections_are_all_dense() {
         // n ≤ 64 → one word: every occurring entity clears the threshold.
-        let inverted = vec![ids(&[0]), ids(&[0, 1, 2])];
-        let p = EntityPostings::build(&inverted, 3);
+        let inverted = [ids(&[0]), ids(&[0, 1, 2])];
+        let p = EntityPostings::build(inverted.iter().map(Vec::as_slice), 3);
         assert!(p.dense(EntityId(0)).is_some());
         assert!(p.dense(EntityId(1)).is_some());
         assert_eq!(p.dense_entities(), 2);

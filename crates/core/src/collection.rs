@@ -3,7 +3,12 @@
 //! A [`Collection`] owns the sets and two indexes the algorithms rely on:
 //!
 //! * `sets[set_id]` — the sorted entity list of each set, and
-//! * `inverted[entity_id]` — the sorted list of sets containing each entity.
+//! * the inverted index in compressed-sparse-row form: one flat array of
+//!   `SetId`s holding, entity after entity, the sorted ids of the sets
+//!   containing it, and per-entity offsets into it (entity `e`'s list is
+//!   `posting_sets[posting_offsets[e]..posting_offsets[e + 1]]`). A count
+//!   pass sizes every list before a fill pass writes it, so the whole
+//!   index is two exactly sized allocations.
 //!
 //! Two derived indexes are built once and shared by every view/session over
 //! the collection: the [`EntityPostings`] bitmap form of the inverted index
@@ -31,7 +36,8 @@ static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 /// An immutable collection of unique entity sets.
 pub struct Collection {
     sets: Vec<EntitySet>,
-    inverted: Vec<Vec<SetId>>,
+    posting_offsets: Vec<u32>,
+    posting_sets: Vec<SetId>,
     postings: EntityPostings,
     set_fps: Vec<Fingerprint>,
     set_sizes: Vec<u32>,
@@ -104,7 +110,11 @@ impl Collection {
     /// Sorted ids of the sets containing entity `e` (empty if none).
     #[inline]
     pub fn sets_containing(&self, e: EntityId) -> &[SetId] {
-        self.inverted.get(e.0 as usize).map_or(&[], Vec::as_slice)
+        let e = e.0 as usize;
+        match self.posting_offsets.get(e..e + 2) {
+            Some(&[start, end]) => &self.posting_sets[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// The bitmap form of the inverted index (dense bitmaps for frequent
@@ -187,8 +197,8 @@ impl setdisc_util::mem::HeapSize for Collection {
     fn heap_bytes(&self) -> usize {
         use setdisc_util::mem::vec_bytes;
         self.sets.heap_bytes()
-            + self.inverted.capacity() * std::mem::size_of::<Vec<SetId>>()
-            + self.inverted.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.posting_offsets)
+            + vec_bytes(&self.posting_sets)
             + self.postings.heap_bytes()
             + vec_bytes(&self.set_fps)
             + vec_bytes(&self.set_sizes)
@@ -229,6 +239,40 @@ fn intersect_sorted(a: &[SetId], b: &[SetId]) -> Vec<SetId> {
         }
     }
     out
+}
+
+/// The inverted index of `sets` over entities `0..universe` in CSR form:
+/// `(offsets, ids)`, entity `e`'s sorted set ids being
+/// `ids[offsets[e]..offsets[e + 1]]`.
+fn invert(sets: &[EntitySet], universe: usize) -> (Vec<u32>, Vec<SetId>) {
+    // Count pass: `offsets[e + 1]` holds entity e's list length.
+    let mut offsets = vec![0u32; universe + 1];
+    for set in sets {
+        for e in set.iter() {
+            offsets[e.0 as usize + 1] += 1;
+        }
+    }
+    // Exclusive prefix sum: `offsets[e + 1]` becomes the start of e's
+    // list. It is the fill cursor, and the fill pass advances it to the
+    // list's end, which is where e + 1's list starts.
+    let mut total = 0u32;
+    for slot in &mut offsets[1..] {
+        let len = std::mem::replace(slot, total);
+        total = total
+            .checked_add(len)
+            .expect("collection exceeds u32::MAX memberships");
+    }
+    let mut ids = vec![SetId(0); total as usize];
+    // Set ids are visited in increasing order, so every list comes out
+    // sorted.
+    for (i, set) in sets.iter().enumerate() {
+        for e in set.iter() {
+            let cursor = &mut offsets[e.0 as usize + 1];
+            ids[*cursor as usize] = SetId(i as u32);
+            *cursor += 1;
+        }
+    }
+    (offsets, ids)
 }
 
 /// Incremental builder enforcing the paper's uniqueness assumption.
@@ -307,21 +351,20 @@ impl CollectionBuilder {
             .map(|e| e.0 + 1)
             .max()
             .unwrap_or(0);
-        let mut inverted: Vec<Vec<SetId>> = vec![Vec::new(); universe as usize];
-        for (i, set) in self.sets.iter().enumerate() {
-            for e in set.iter() {
-                inverted[e.0 as usize].push(SetId(i as u32));
-            }
-        }
-        // Set ids were appended in increasing order, so lists are sorted.
-        let occurring: Vec<EntityId> = inverted
-            .iter()
+        let (posting_offsets, posting_sets) = invert(&self.sets, universe as usize);
+        let occurring: Vec<EntityId> = posting_offsets
+            .windows(2)
             .enumerate()
-            .filter(|(_, l)| !l.is_empty())
+            .filter(|(_, w)| w[0] < w[1])
             .map(|(e, _)| EntityId(e as u32))
             .collect();
         let distinct = occurring.len();
-        let postings = EntityPostings::build(&inverted, self.sets.len());
+        let postings = EntityPostings::build(
+            posting_offsets
+                .windows(2)
+                .map(|w| &posting_sets[w[0] as usize..w[1] as usize]),
+            self.sets.len(),
+        );
         let set_fps: Vec<Fingerprint> = (0..self.sets.len() as u32)
             .map(|i| crate::subcollection::fp_of_set(SetId(i)))
             .collect();
@@ -329,7 +372,8 @@ impl CollectionBuilder {
         Ok(BuiltCollection {
             collection: Collection {
                 sets: self.sets,
-                inverted,
+                posting_offsets,
+                posting_sets,
                 postings,
                 set_fps,
                 set_sizes,
@@ -472,7 +516,7 @@ mod tests {
             b.heap_bytes(),
             "identical builds account identically"
         );
-        // Every element is stored once in `sets` and once in `inverted`,
+        // Every element is stored once in `sets` and once in the CSR index,
         // 4 bytes each — the accounted total must cover at least that.
         let elems: usize = a.iter().map(|(_, s)| s.len()).sum();
         assert!(a.heap_bytes() >= 2 * 4 * elems, "{}", a.heap_bytes());

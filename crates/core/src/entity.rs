@@ -4,7 +4,7 @@
 //! edges (loading data, rendering questions to a user), so the interner is a
 //! thin optional companion rather than something the hot path touches.
 
-use setdisc_util::FxHashMap;
+use setdisc_util::intern::NameTable;
 
 /// Identifier of an entity (an element of the universe) — dense from 0.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -26,11 +26,12 @@ impl std::fmt::Display for SetId {
     }
 }
 
-/// Bidirectional mapping between entity names and dense [`EntityId`]s.
+/// Bidirectional mapping between entity names and dense [`EntityId`]s,
+/// assigned in first-appearance order. A typed view of one
+/// [`NameTable`], which stores each name once.
 #[derive(Default, Clone, Debug)]
 pub struct EntityInterner {
-    names: Vec<String>,
-    index: FxHashMap<String, EntityId>,
+    names: NameTable,
 }
 
 impl EntityInterner {
@@ -41,23 +42,17 @@ impl EntityInterner {
 
     /// Interns `name`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, name: &str) -> EntityId {
-        if let Some(&id) = self.index.get(name) {
-            return id;
-        }
-        let id = EntityId(u32::try_from(self.names.len()).expect("entity universe exceeds u32"));
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
-        id
+        EntityId(self.names.intern(name))
     }
 
     /// Looks up an already-interned name.
     pub fn get(&self, name: &str) -> Option<EntityId> {
-        self.index.get(name).copied()
+        self.names.get(name).map(EntityId)
     }
 
     /// The name for `id`, if it was interned here.
     pub fn name(&self, id: EntityId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+        self.names.name(id.0)
     }
 
     /// Renders `id` as its name, falling back to `e<id>`.
@@ -78,10 +73,7 @@ impl EntityInterner {
 
 impl setdisc_util::mem::HeapSize for EntityInterner {
     fn heap_bytes(&self) -> usize {
-        use setdisc_util::mem::map_spine_bytes;
         self.names.heap_bytes()
-            + map_spine_bytes::<String, EntityId>(self.index.capacity())
-            + self.index.keys().map(String::capacity).sum::<usize>()
     }
 }
 

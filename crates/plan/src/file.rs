@@ -365,45 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_saves_never_touch_the_last_good_file() {
-        // Process-global fault state: serialize with any other test that
-        // arms it (this is the only one in this crate).
-        let (_, cache) = sample_cache();
-        let dir = std::env::temp_dir().join("setdisc_plan_test_atomic");
-        let path = dir.join("x.plan");
-        save_plan(&cache, &path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        for spec in [
-            "seed=9,plan.save.write=err:1",
-            "seed=9,plan.save.write.payload=short:1:13",
-            "seed=9,plan.save.rename=err:1",
-        ] {
-            setdisc_util::faults::install_spec(spec).unwrap();
-            let err = save_plan(&cache, &path).unwrap_err();
-            assert!(err.to_string().contains("injected"), "{spec}: {err}");
-            setdisc_util::faults::clear();
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                good,
-                "{spec}: last good file must be byte-identical"
-            );
-            load_plan(&path, 0).unwrap();
-            // No temp litter after a failed save.
-            let stray: Vec<_> = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name() != "x.plan")
-                .collect();
-            assert!(stray.is_empty(), "{spec}: stray files {stray:?}");
-        }
-        // Disarmed again: saves succeed and replace atomically.
-        save_plan(&cache, &path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), good);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn weighted_plan_does_not_cover_the_unweighted_strategy() {
         // A file holding only weighted-key nodes loads fine, but a loader
         // about to serve the unweighted configuration can (and must) detect

@@ -4,7 +4,7 @@
 //! encoded, `u16` codes) and numeric columns (`i32`), both nullable. Storage
 //! is column-major so predicate evaluation scans one dense vector.
 
-use setdisc_util::FxHashMap;
+use setdisc_util::intern::NameTable;
 
 /// Column type tag.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -21,10 +21,8 @@ pub enum Column {
     Categorical {
         /// Column name.
         name: String,
-        /// Code → string dictionary.
-        dict: Vec<String>,
-        /// Reverse lookup.
-        index: FxHashMap<String, u16>,
+        /// Code ↔ string dictionary (a value's code is its table id).
+        dict: NameTable,
         /// Per-row codes.
         codes: Vec<Option<u16>>,
     },
@@ -147,7 +145,9 @@ impl Table {
     /// The dictionary string for a categorical code.
     pub fn cat_string(&self, col: usize, code: u16) -> &str {
         match &self.columns[col] {
-            Column::Categorical { dict, .. } => &dict[code as usize],
+            Column::Categorical { dict, .. } => dict
+                .name(u32::from(code))
+                .expect("code outside the column's dictionary"),
             Column::Numeric { name, .. } => panic!("column {name} is numeric"),
         }
     }
@@ -155,7 +155,7 @@ impl Table {
     /// The code for a categorical string, if present in the dictionary.
     pub fn cat_lookup(&self, col: usize, value: &str) -> Option<u16> {
         match &self.columns[col] {
-            Column::Categorical { index, .. } => index.get(value).copied(),
+            Column::Categorical { dict, .. } => dict.get(value).and_then(|c| u16::try_from(c).ok()),
             Column::Numeric { name, .. } => panic!("column {name} is numeric"),
         }
     }
@@ -164,8 +164,7 @@ impl Table {
 /// Builder for categorical columns.
 pub struct CategoricalBuilder {
     name: String,
-    dict: Vec<String>,
-    index: FxHashMap<String, u16>,
+    dict: NameTable,
     codes: Vec<Option<u16>>,
 }
 
@@ -174,24 +173,14 @@ impl CategoricalBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            dict: Vec::new(),
-            index: FxHashMap::default(),
+            dict: NameTable::new(),
             codes: Vec::new(),
         }
     }
 
     /// Appends a value (interned) or NULL.
     pub fn push(&mut self, value: Option<&str>) {
-        let code = value.map(|v| {
-            if let Some(&c) = self.index.get(v) {
-                c
-            } else {
-                let c = u16::try_from(self.dict.len()).expect("dictionary overflow");
-                self.dict.push(v.to_string());
-                self.index.insert(v.to_string(), c);
-                c
-            }
-        });
+        let code = value.map(|v| u16::try_from(self.dict.intern(v)).expect("dictionary overflow"));
         self.codes.push(code);
     }
 
@@ -200,7 +189,6 @@ impl CategoricalBuilder {
         Column::Categorical {
             name: self.name,
             dict: self.dict,
-            index: self.index,
             codes: self.codes,
         }
     }
@@ -266,6 +254,17 @@ mod tests {
     #[should_panic(expected = "is numeric")]
     fn kind_confusion_panics() {
         toy().cat_code(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dictionary overflow")]
+    fn dictionary_codes_stay_u16() {
+        let mut col = CategoricalBuilder::new("c");
+        for i in 0..=u16::MAX as u32 {
+            col.push(Some(&i.to_string()));
+        }
+        col.push(Some("0"));
+        col.push(Some("one value too many"));
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! The lookahead memo caches hash sub-collection identities millions of
 //! times per tree; SipHash dominates profiles there. [`FxHasher`] is the
 //! classic Fx/FireFox mix — multiply by a large odd constant and rotate.
+//! It is meant for integer and fingerprint keys: its output is the raw last
+//! multiply, whose low bits are weak for byte strings, so string tables
+//! probe by the mixed hash of [`crate::intern`] instead.
 //! [`Fingerprint`] is a commutative 128-bit content digest (two independent
 //! splitmix64 lanes summed over the elements) that supports O(1) incremental
 //! update: adding or removing an element is a wrapping add/sub per lane, and
@@ -202,6 +205,31 @@ mod tests {
         let mut h = FxHasher::default();
         h.write(bytes);
         h.finish()
+    }
+
+    /// Fx output is persisted — plan-file checksums and collection
+    /// identity, the `weight_fp` wire labels, fault-injection streams — so
+    /// these values must never change.
+    #[test]
+    fn known_answers_are_pinned() {
+        for (bytes, want) in [
+            (&b""[..], 0),
+            (b"a", 0x7545_6665_d3e6_0275),
+            (b"e262143", 0xbcae_64ab_6bed_46c9),
+            (b"hello world", 0x2d91_ebaf_2845_4230),
+            (b"0123456789abcdef", 0x0ef6_021b_7f61_a45b),
+        ] {
+            assert_eq!(hash_bytes(bytes), want, "{bytes:?}");
+        }
+        let mut h = FxHasher::default();
+        for i in [1u64, 2, 3] {
+            h.write_u64(i);
+        }
+        assert_eq!(h.finish(), 0xfdcb_2688_e076_0126);
+        let mut h = FxHasher::default();
+        h.write_u32(0xdead_beef);
+        h.write_usize(7);
+        assert_eq!(h.finish(), 0x9193_bae6_88a2_8b47);
     }
 
     #[test]

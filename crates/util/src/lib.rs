@@ -7,6 +7,9 @@
 //!   aliases keyed on it (hot maps are keyed by small integers, where SipHash
 //!   is needlessly slow), and the 128-bit incremental [`Fingerprint`] the
 //!   selection hot path uses as an allocation-free sub-collection identity.
+//! * [`intern`] — the string name table behind entity interning and
+//!   categorical dictionaries: dense first-appearance ids over one byte
+//!   arena, probed by a hash that mixes every byte of the name.
 //! * [`bitset`] — a dense, fixed-capacity bitset for id-set algebra
 //!   (currently a standalone utility: the hot paths moved to sorted id
 //!   vectors + fingerprints), with a [`Fingerprint`]-compatible content
@@ -45,6 +48,7 @@
 pub mod bitset;
 pub mod faults;
 pub mod hash;
+pub mod intern;
 pub mod journal;
 pub mod math;
 pub mod mem;

@@ -648,6 +648,19 @@ mod tests {
     }
 
     #[test]
+    fn disarmed_span_guard_holds_no_instant() {
+        // The §12 contract, checked structurally: a disarmed span holds no
+        // timestamp. Its cost against a bare loop is timed in release by
+        // `bench_hotpath`.
+        let _guard = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+        arm(false);
+        assert!(span(Site::EngineSelect).started.is_none());
+        arm(true);
+        assert!(span(Site::EngineSelect).started.is_some());
+        arm(false);
+    }
+
+    #[test]
     fn armed_spans_and_counts_land_in_the_snapshot() {
         let _guard = GUARD.lock().unwrap_or_else(|p| p.into_inner());
         arm(true);
