@@ -30,6 +30,12 @@ run cargo build --release
 
 run cargo test -q
 
+# The benchmark (perfbench/) is a workspace of its own that links the
+# crates by path, so the workspace build above does not compile it. Build
+# and test it here, so a crate API change that breaks the benchmark fails
+# CI rather than the next benchmark run.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Deny rustdoc warnings (broken intra-doc links etc.).
 RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace
 

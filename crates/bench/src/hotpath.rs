@@ -163,36 +163,6 @@ pub fn run_kernels(scale: HotpathScale, filter: Option<&str>) -> Vec<KernelRepor
         );
     }
 
-    // Parallel vs forced-sequential selection loop on the same k=3 build.
-    // The parallel kernel uses the pool default thread count with a
-    // permissive dispatch gate; on a single-core host it degenerates to
-    // the sequential path (the pool reports one worker), so comparing the
-    // two kernels shows exactly what the machine buys.
-    run(
-        &format!("klp_k3_tree_seq_copyadd_n{n_tree}"),
-        samples,
-        1,
-        "trees",
-        &mut || {
-            let mut s = KLp::<AvgDepth>::new(3).with_threads(1);
-            let tree = build_tree(&copyadd.full_view(), &mut s).expect("tree");
-            tree.total_depth()
-        },
-    );
-    run(
-        &format!("klp_k3_tree_par_copyadd_n{n_tree}"),
-        samples,
-        1,
-        "trees",
-        &mut || {
-            let mut s = KLp::<AvgDepth>::new(3)
-                .with_threads(0)
-                .with_parallel_gate(4, 64);
-            let tree = build_tree(&copyadd.full_view(), &mut s).expect("tree");
-            tree.total_depth()
-        },
-    );
-
     // Same kernel on web-table seed-query sub-collections.
     let (web, lists) = crate::web_subcollections(15, 3, scale.pick(40, 60));
     let web_ids = lists.first().expect("a sub-collection").clone();

@@ -28,32 +28,17 @@
 //! [`Fingerprint`] paired with its length — an O(1) probe with no boxed id
 //! vector per entry; see `setdisc_util::hash` for the collision bound.
 //!
-//! The recursion itself is allocation-free in steady state: candidate lists,
-//! counting buffers, and the storage of every split live in a depth-indexed
-//! [`LookaheadScratch`] arena; splits are word-parallel bitmap kernels
-//! ([`SubCollection::partition_into`]); `LB₀` values come from a per-search
-//! [`Lb0Table`]; and duplicate-partition candidates (entities with
-//! identical membership across the member sets) are dropped on the
-//! membership digest the split computes as a byproduct, before any bound
-//! work happens — which frees candidate generation to use the
-//! fingerprint-free counting pass.
-//!
-//! # Parallel selection
-//!
-//! At the selection level (`is_top`), the candidate loop can fan out over
-//! the [`setdisc_util::pool`] worker pool **without giving up Lemma-4.4
-//! losslessness**: after a short sequential warm-up establishes a finite
-//! incumbent bound, the surviving candidates are claimed in rank order by
-//! worker threads that share an atomic incumbent (`fetch_min` of every
-//! exact bound found) and keep private memo caches and scratch arenas. Any
-//! bound a worker computes under *some* upper limit is either the exact
-//! `LB_k` of its candidate (usable regardless of timing) or a proof that
-//! the candidate cannot beat that limit; a deterministic **replay** on the
-//! calling thread then reconstructs the sequential scan — re-evaluating
-//! the rare candidate whose recorded pruning limit was tighter than the
-//! replay's running bound at that point — so the selected entity and bound
-//! are bit-identical to the single-threaded path (deterministic
-//! min-entity-id tie-break included). See DESIGN.md §8 for the argument.
+//! The selection level is depth 0 of the same recursion: it differs only in
+//! its beam width (k-LPLVE), its memo key, and in recording the node's
+//! Table-4 statistics. The recursion is allocation-free in steady state:
+//! candidate lists, counting buffers, and the storage of every split live
+//! in a depth-indexed [`LookaheadScratch`] arena; splits are word-parallel
+//! bitmap kernels ([`SubCollection::partition_into`]); `LB₀` values come
+//! from a per-search [`Lb0Table`]; and duplicate-partition candidates
+//! (entities with identical membership across the member sets) are
+//! dropped on the membership digest the split computes as a byproduct,
+//! before any bound work happens — which frees candidate generation to use
+//! the fingerprint-free counting pass.
 //!
 //! [`GainK`] is the unpruned k-step lookahead baseline in the style of
 //! Esmeir & Markovitch's *gain-k* — identical recursion, no sorting-based
@@ -63,13 +48,15 @@
 use crate::cost::{imbalance, AvgDepth, Cost, CostModel, Lb0Table, UNBOUNDED};
 use crate::entity::EntityId;
 use crate::strategy::{
-    CandidateOutcome, RankedCandidate, SelectionStrategy, SelectionTrace, EXPLAIN_RANKED_CAP,
+    CandidateOutcome, RankedCandidate, SelectionDetail, SelectionStrategy, SelectionTrace,
+    EXPLAIN_RANKED_CAP,
 };
-use crate::subcollection::{Candidate, LookaheadScratch, SubCollection, SubStorage};
+use crate::subcollection::{
+    Candidate, EntityCount, LookaheadScratch, SubCollection, WeightedEntityStats,
+};
 use crate::weights::{combine_w, ul_first_w, ul_second_w, wlb0, WeightTable};
-use setdisc_util::{pool, Fingerprint, FxHashMap, FxHashSet};
+use setdisc_util::{Fingerprint, FxHashMap, FxHashSet};
 use std::mem;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Candidate-limiting mode for [`KLp`] (§4.4).
@@ -178,11 +165,23 @@ struct CacheEntry {
     bound: Cost,
 }
 
+/// What one call of [`KLp::klp`] found: the argmin when some candidate
+/// achieves `LB_k` below the call's upper limit (otherwise `None`, with
+/// `bound` the tightest bound knowledge), plus the node's Table-4 counts
+/// — zero on a memo hit, which re-runs no scan.
+#[derive(Copy, Clone, Default)]
+struct Found {
+    entity: Option<EntityId>,
+    bound: Cost,
+    informative: u32,
+    evaluated: u32,
+}
+
 /// Total ranking key of Algorithm 1 line 11: most even first (via `LB₁`,
 /// which orders identically for the real-valued cost and is sound for the
-/// ceiling version — see the note in [`SearchCtx::klp`]), ties by
-/// imbalance then entity id. Unique per candidate, so any partial ordering
-/// scheme yields the same sequence.
+/// ceiling version — see the note in [`KLp::klp`]), ties by imbalance then
+/// entity id. Unique per candidate, so any partial ordering scheme yields
+/// the same sequence.
 #[inline]
 fn rank_key(c: &Candidate) -> (Cost, u64, EntityId) {
     (c.score, c.imbalance, c.entity)
@@ -227,332 +226,6 @@ impl<'a> Ranked<'a> {
         tail[..take].sort_unstable_by_key(rank_key);
         self.sorted = target;
     }
-
-    /// All candidates (sorted prefix first; tail order unspecified).
-    fn slice(&self) -> &[Candidate] {
-        self.cand
-    }
-
-    /// How many candidates (in any position) have `LB₁` strictly below
-    /// `ul` — the survivors a parallel phase could still evaluate.
-    fn count_below(&self, ul: Cost) -> usize {
-        self.cand.iter().filter(|c| c.score < ul).count()
-    }
-}
-
-/// The sequential recursion of Algorithm 1 over one cache + scratch arena.
-/// [`KLp`] drives it with its own state; each parallel worker drives one
-/// over private state — the struct is what makes "same recursion, many
-/// arenas" expressible without duplicating the algorithm.
-struct SearchCtx<'a, M: CostModel> {
-    beam: KLpBeam,
-    lb0: &'a Lb0Table<M>,
-    /// §6 prior (weighted-AD mode). Only ever `Some` for `M = AvgDepth`
-    /// ([`KLp::with_prior`] is restricted to that metric), so the weighted
-    /// branches below may read `self.lb0` as the AD table.
-    weights: Option<&'a WeightTable>,
-    cache: &'a mut FxHashMap<CacheKey, CacheEntry>,
-    scratch: &'a mut LookaheadScratch,
-}
-
-impl<M: CostModel> SearchCtx<'_, M> {
-    /// The recursive body of Algorithm 1 below the selection level.
-    /// Returns `(entity, bound)`: `entity` is the argmin when some
-    /// candidate achieves `LB_k < ul`, otherwise `None` with `bound` = the
-    /// tightest bound knowledge (`ul`). `depth` indexes the scratch arena.
-    fn klp(
-        &mut self,
-        view: &SubCollection<'_>,
-        k: u32,
-        mut ul: Cost,
-        excluded: &FxHashSet<EntityId>,
-        depth: usize,
-    ) -> (Option<EntityId>, Cost) {
-        let n = view.len() as u64;
-        if n <= 1 {
-            return (None, 0);
-        }
-
-        // Lines 1–6: cache probe. Skipped under exclusions — the cached
-        // answer may be an excluded entity.
-        let use_cache = excluded.is_empty();
-        let key = if use_cache {
-            let key: CacheKey = (view.fingerprint(), view.len() as u32, k, false);
-            if let Some(entry) = self.cache.get(&key) {
-                if ul <= entry.bound {
-                    return (None, entry.bound);
-                }
-                if entry.entity.is_some() {
-                    return (entry.entity, entry.bound);
-                }
-                // Negative entry with a smaller bound than our limit: the
-                // range [entry.bound, ul) is unexplored — recompute.
-            }
-            Some(key)
-        } else {
-            None
-        };
-
-        let mut level = self.scratch.take_level(depth);
-
-        // Lines 7–10: base case — the minimal-LB₁ (most even) entity from
-        // a fingerprint-free counting pass (no partition happens at k ≤ 1,
-        // so no membership digests are needed and the count-only postings
-        // sweep is pure popcounts). A single min pass; no need to rank the
-        // losers (the beam can only truncate candidates *after* the
-        // minimum, so the global argmin is the beam's argmin for every
-        // beam width).
-        if k <= 1 {
-            let mut best: Option<(Cost, u64, EntityId)> = None;
-            if let Some(w) = self.weights {
-                // Weighted base case: the same argmin with weighted LB₁ and
-                // mass imbalance — under a uniform table both keys equal the
-                // unweighted ones value-for-value, so the argmin agrees.
-                let wv = view.total_weight(w);
-                view.informative_weighted(&mut self.scratch.counts, &mut level.wstats, w);
-                for s in &level.wstats {
-                    if !excluded.is_empty() && excluded.contains(&s.entity) {
-                        continue;
-                    }
-                    let (n1, n2) = (s.count as u64, n - s.count as u64);
-                    let (w1, w2) = (s.wsum, wv - s.wsum);
-                    let score = combine_w(
-                        wv,
-                        wlb0(w1, n1, self.lb0.lb0(n1)),
-                        wlb0(w2, n2, self.lb0.lb0(n2)),
-                    );
-                    let cand_key = (score, (2 * w1).abs_diff(wv), s.entity);
-                    if best.is_none_or(|b| cand_key < b) {
-                        best = Some(cand_key);
-                    }
-                }
-            } else {
-                view.informative_into(&mut self.scratch.counts, &mut level.ecounts);
-                for ec in &level.ecounts {
-                    if !excluded.is_empty() && excluded.contains(&ec.entity) {
-                        continue;
-                    }
-                    let n1 = ec.count as u64;
-                    let cand_key = (self.lb0.lb1(n, n1), imbalance(n, n1), ec.entity);
-                    if best.is_none_or(|b| cand_key < b) {
-                        best = Some(cand_key);
-                    }
-                }
-            }
-            let result = best
-                .map(|(score, _, e)| (Some(e), score))
-                .unwrap_or((None, 0));
-            self.scratch.put_level(depth, level);
-            if let (Some(key), (Some(_), _)) = (key, result) {
-                self.cache.insert(
-                    key,
-                    CacheEntry {
-                        entity: result.0,
-                        bound: result.1,
-                    },
-                );
-            }
-            return result;
-        }
-
-        // Candidate list (line 11) from a fingerprint-free counting pass:
-        // only candidates that survive the early exit are ever partitioned,
-        // and the bitmap split computes the yes-side digest as a byproduct,
-        // so membership fingerprints are deduped post-partition instead of
-        // paying a digest per view member up front.
-        if let Some(w) = self.weights {
-            let wv = view.total_weight(w);
-            view.informative_weighted(&mut self.scratch.counts, &mut level.wstats, w);
-            for s in &level.wstats {
-                if !excluded.is_empty() && excluded.contains(&s.entity) {
-                    continue;
-                }
-                let (n1, n2) = (s.count as u64, n - s.count as u64);
-                let (w1, w2) = (s.wsum, wv - s.wsum);
-                level.cand.push(Candidate {
-                    score: combine_w(
-                        wv,
-                        wlb0(w1, n1, self.lb0.lb0(n1)),
-                        wlb0(w2, n2, self.lb0.lb0(n2)),
-                    ),
-                    imbalance: (2 * w1).abs_diff(wv),
-                    entity: s.entity,
-                    n1,
-                    fp: Fingerprint::ZERO,
-                });
-            }
-        } else {
-            view.informative_into(&mut self.scratch.counts, &mut level.ecounts);
-            for ec in &level.ecounts {
-                if !excluded.is_empty() && excluded.contains(&ec.entity) {
-                    continue;
-                }
-                let n1 = ec.count as u64;
-                level.cand.push(Candidate {
-                    score: self.lb0.lb1(n, n1),
-                    imbalance: imbalance(n, n1),
-                    entity: ec.entity,
-                    n1,
-                    fp: Fingerprint::ZERO,
-                });
-            }
-        }
-
-        // Rank by (LB₁, imbalance, id), lazily. The paper sorts by
-        // most-even partitioning and notes the order coincides with LB₁
-        // order — true for the real-valued `n·log₂n` but not for the
-        // ceiling version (e.g. n=35: a 16/19 split has ⌈16·log16⌉ +
-        // ⌈19·log19⌉ = 145 < 146 = the 17/18 split's, because 16 is a
-        // power of two). Ranking by LB₁ first keeps the early exit of
-        // lines 14–15 sound; imbalance remains the paper's tie-break.
-        let width = level.cand.len().min(self.beam.width(false));
-        let mut best: Option<EntityId> = None;
-        {
-            let mut ranked = Ranked::new(&mut level.cand);
-            // Distinct entities often induce the *same* partition (entities
-            // with identical membership across the candidate sets —
-            // ubiquitous when sets are query outputs). Identical partitions
-            // have identical bounds, and the first entity in rank order
-            // wins ties either way, so duplicates can be skipped without
-            // changing the selection. The word-parallel split computes the
-            // yes-side digest anyway, so the dedup check reads it from the
-            // freshly split child before any bound work happens.
-            for i in 0..width {
-                let c = ranked.get(i);
-                // Lines 14–15: ranked early exit — prunes c and every
-                // candidate after it (Lemma 4.4 with l = 1).
-                if c.score >= ul {
-                    break;
-                }
-                let (cpos, cneg) = view.partition_into(
-                    c.entity,
-                    mem::take(&mut level.yes),
-                    mem::take(&mut level.no),
-                );
-                debug_assert_eq!(cpos.len() as u64, c.n1);
-                let l = if level.seen.insert((cpos.fingerprint(), c.n1)) {
-                    self.bound_children(&cpos, &cneg, k, ul, excluded, depth)
-                } else {
-                    None // same split as an earlier (preferred) entity
-                };
-                level.yes = cpos.into_storage();
-                level.no = cneg.into_storage();
-                // Lines 33–36.
-                if let Some(l) = l {
-                    if l < ul {
-                        ul = l;
-                        best = Some(c.entity);
-                    }
-                }
-            }
-        }
-        self.scratch.put_level(depth, level);
-
-        if let Some(key) = key {
-            self.cache.insert(
-                key,
-                CacheEntry {
-                    entity: best,
-                    bound: ul,
-                },
-            );
-        }
-        (best, ul)
-    }
-
-    /// Lines 18–32: bound both children of one candidate split, or `None`
-    /// when either side is pruned against its upper limit.
-    fn bound_children(
-        &mut self,
-        cpos: &SubCollection<'_>,
-        cneg: &SubCollection<'_>,
-        k: u32,
-        ul: Cost,
-        excluded: &FxHashSet<EntityId>,
-        depth: usize,
-    ) -> Option<Cost> {
-        let n1 = cpos.len() as u64;
-        let n2 = cneg.len() as u64;
-        let n = n1 + n2;
-
-        // §6 weighted mode swaps the cardinality-based limits (eqs. 11/13)
-        // for their weight-mass counterparts; the recursion is otherwise
-        // identical. `wq` is the children's summed weights — computed here
-        // per candidate, so the recursion needs no weight threading.
-        let wq = self
-            .weights
-            .map(|w| (cpos.total_weight(w), cneg.total_weight(w)));
-
-        // Lines 18–25: bound the positive side.
-        let l_pos = if n1 == 1 {
-            0
-        } else {
-            let ul_pos = match wq {
-                Some((w1, w2)) => ul_first_w(ul, w1 + w2, wlb0(w2, n2, self.lb0.lb0(n2)))?,
-                None => M::ul_first(ul, n, self.lb0.lb0(n2))?,
-            };
-            match self.klp(cpos, k - 1, ul_pos, excluded, depth + 1) {
-                (Some(_), l) => l,
-                (None, _) => return None, // pruned (lines 24–25)
-            }
-        };
-
-        // Lines 26–32: bound the negative side with the tightened limit.
-        let l_neg = if n2 == 1 {
-            0
-        } else {
-            let ul_neg = match wq {
-                Some((w1, w2)) => ul_second_w(ul, w1 + w2, l_pos)?,
-                None => M::ul_second(ul, n, l_pos)?,
-            };
-            match self.klp(cneg, k - 1, ul_neg, excluded, depth + 1) {
-                (Some(_), l) => l,
-                (None, _) => return None,
-            }
-        };
-
-        Some(match wq {
-            Some((w1, w2)) => combine_w(w1 + w2, l_pos, l_neg),
-            None => M::combine(n, l_pos, l_neg),
-        })
-    }
-
-    /// Partitions `view` on one candidate and bounds both children —
-    /// the unit of work the selection-level loop (sequential or a parallel
-    /// worker) performs per candidate. Returns the storage for recycling.
-    #[allow(clippy::too_many_arguments)]
-    fn bound_candidate(
-        &mut self,
-        view: &SubCollection<'_>,
-        c: &Candidate,
-        k: u32,
-        ul: Cost,
-        excluded: &FxHashSet<EntityId>,
-        yes: SubStorage,
-        no: SubStorage,
-    ) -> (Option<Cost>, SubStorage, SubStorage) {
-        let (cpos, cneg) = view.partition_into(c.entity, yes, no);
-        debug_assert_eq!(cpos.len() as u64, c.n1);
-        let l = self.bound_children(&cpos, &cneg, k, ul, excluded, 0);
-        (l, cpos.into_storage(), cneg.into_storage())
-    }
-}
-
-/// Per-worker state for the parallel selection loop: a private memo cache
-/// and scratch arena, reused across selections.
-#[derive(Default)]
-struct ParWorker {
-    cache: FxHashMap<CacheKey, CacheEntry>,
-    scratch: LookaheadScratch,
-}
-
-/// What a parallel worker learned about one candidate.
-#[derive(Copy, Clone)]
-enum ParOutcome {
-    /// Exact `LB_k` of the candidate (valid regardless of the limit used).
-    Evaluated(Cost),
-    /// The candidate cannot beat the recorded limit (`LB_k ≥ limit`).
-    Pruned(Cost),
 }
 
 /// Algorithm 1: k-lookahead entity selection with pruning, generic over the
@@ -560,17 +233,14 @@ enum ParOutcome {
 pub struct KLp<M: CostModel> {
     k: u32,
     beam: KLpBeam,
-    /// §6 prior. Settable only through [`KLp::with_prior`] (AD metric only);
-    /// `None` is the unweighted Algorithm-1 path, bit-for-bit unchanged.
+    /// §6 prior. Settable only through [`KLp::with_prior`] (AD metric only),
+    /// so the weighted branches may read `lb0` as the AD table; `None` is
+    /// the unweighted Algorithm-1 path, bit-for-bit unchanged.
     weights: Option<Arc<WeightTable>>,
     cache: FxHashMap<CacheKey, CacheEntry>,
     cache_token: u64,
     scratch: LookaheadScratch,
     lb0: Lb0Table<M>,
-    threads: usize,
-    min_par_survivors: usize,
-    min_par_view: usize,
-    workers: Vec<ParWorker>,
     stats: PruneStats,
     record_stats: bool,
 }
@@ -583,13 +253,10 @@ impl KLp<AvgDepth> {
     /// *expected* depth; worst-case height has no mass to weight. A uniform
     /// table is valid and provably selects identically to no table (the
     /// `weighted_lossless` property suite pins this bit-for-bit). Clears the
-    /// memo caches: weighted and unweighted bounds never mix.
+    /// memo cache: weighted and unweighted bounds never mix.
     pub fn with_prior(mut self, weights: Arc<WeightTable>) -> Self {
         self.weights = Some(weights);
         self.cache.clear();
-        for w in &mut self.workers {
-            w.cache.clear();
-        }
         self
     }
 
@@ -616,9 +283,7 @@ impl<M: CostModel> KLp<M> {
         Self::with_beam(k, KLpBeam::LimitedVariable { q })
     }
 
-    /// Fully parameterized constructor. Parallelism defaults to the shared
-    /// [`pool::configured_threads`] knob (`SETDISC_THREADS`), gated so only
-    /// selection nodes with enough surviving work fan out.
+    /// Fully parameterized constructor.
     pub fn with_beam(k: u32, beam: KLpBeam) -> Self {
         assert!(k >= 1, "lookahead depth must be at least 1");
         if let KLpBeam::Limited { q } | KLpBeam::LimitedVariable { q } = beam {
@@ -632,43 +297,9 @@ impl<M: CostModel> KLp<M> {
             cache_token: 0,
             scratch: LookaheadScratch::new(),
             lb0: Lb0Table::new(),
-            threads: pool::configured_threads(),
-            min_par_survivors: 8,
-            min_par_view: 256,
-            workers: Vec::new(),
             stats: PruneStats::default(),
             record_stats: false,
         }
-    }
-
-    /// Overrides the worker count for the parallel selection loop
-    /// (`1` forces the purely sequential path; `0` restores the
-    /// [`pool::configured_threads`] default). The selection is
-    /// bit-identical either way — this is a performance knob only.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            pool::configured_threads()
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// Overrides the parallel-dispatch gate: fan out only when at least
-    /// `min_survivors` ranked candidates still beat the incumbent bound
-    /// and the view holds at least `min_view` sets. The defaults keep
-    /// small nodes sequential (a scoped-thread spawn costs microseconds);
-    /// benches and determinism tests lower them to force the parallel
-    /// path.
-    pub fn with_parallel_gate(mut self, min_survivors: usize, min_view: usize) -> Self {
-        self.min_par_survivors = min_survivors.max(1);
-        self.min_par_view = min_view;
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Enables per-node prune statistics (Table 4). Off by default: the
@@ -689,19 +320,15 @@ impl<M: CostModel> KLp<M> {
         self.stats.clear();
     }
 
-    /// Number of memoized (sub-collection, k) entries on the calling
-    /// thread's cache (parallel workers keep additional private caches).
+    /// Number of memoized (sub-collection, k) entries.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
 
-    /// Drops the memo caches (they are also dropped automatically when the
+    /// Drops the memo cache (it is also dropped automatically when the
     /// strategy is used on a different collection).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-        for w in &mut self.workers {
-            w.cache.clear();
-        }
     }
 
     /// Lookahead depth `k`.
@@ -712,140 +339,51 @@ impl<M: CostModel> KLp<M> {
     /// The `LB_k` bound of the entity this strategy would select on `view`,
     /// in scaled cost units — the quantity eq. (8) defines.
     pub fn bound(&mut self, view: &SubCollection<'_>) -> Option<(EntityId, Cost)> {
-        self.prepare_for(view);
-        let excluded = FxHashSet::default();
-        let (e, l, _, _) = self.select_top(view, &excluded);
-        e.map(|e| (e, l))
+        let found = self.search(view, &FxHashSet::default());
+        found.entity.map(|e| (e, found.bound))
     }
 
-    fn prepare_for(&mut self, view: &SubCollection<'_>) {
+    /// One selection: drops memo entries left by another collection, then
+    /// runs Algorithm 1 at the selection level with no upper limit.
+    fn search(&mut self, view: &SubCollection<'_>, excluded: &FxHashSet<EntityId>) -> Found {
         let token = view.collection().token();
         if token != self.cache_token {
             self.cache.clear();
-            for w in &mut self.workers {
-                w.cache.clear();
-            }
             self.cache_token = token;
         }
+        self.lb0.ensure(view.len() as u64);
+        self.klp(view, self.k, UNBOUNDED, excluded, 0)
     }
 
-    /// The selection level of Algorithm 1 (`is_top`): cache probe under the
-    /// top key, candidate generation, then the pruned scan — sequential
-    /// with lazy ranking, fanning out to the worker pool when enough
-    /// candidates survive the warm-up. Returns
-    /// `(entity, bound, informative, evaluated)`; the trailing counts are
-    /// the Table-4 node statistics (zero on a memo hit, which re-runs no
-    /// scan).
-    fn select_top(
+    /// Scores every informative, non-excluded entity of `view` as a
+    /// line-11 candidate and hands each to `f` in counting order: `LB₁`
+    /// and partition imbalance, or under a prior their weighted forms
+    /// (weighted `LB₁`, mass imbalance — equal to the unweighted ones
+    /// value-for-value under a uniform table). The counting pass is
+    /// fingerprint-free: only candidates that survive the early exit are
+    /// ever partitioned, and the split computes the yes-side digest the
+    /// duplicate check needs as a byproduct.
+    fn score_candidates(
         &mut self,
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
-    ) -> (Option<EntityId>, Cost, u32, u32) {
+        ecounts: &mut Vec<EntityCount>,
+        wstats: &mut Vec<WeightedEntityStats>,
+        mut f: impl FnMut(Candidate),
+    ) {
         let n = view.len() as u64;
-        if n <= 1 {
-            return (None, 0, 0, 0);
-        }
-        self.lb0.ensure(n);
-        let mut ul = UNBOUNDED;
-        let use_cache = excluded.is_empty();
-        let key = if use_cache {
-            let key: CacheKey = (view.fingerprint(), view.len() as u32, self.k, true);
-            if let Some(entry) = self.cache.get(&key) {
-                if ul <= entry.bound {
-                    return (None, entry.bound, 0, 0);
-                }
-                if entry.entity.is_some() {
-                    return (entry.entity, entry.bound, 0, 0);
-                }
-            }
-            Some(key)
-        } else {
-            None
-        };
-
-        let mut level = self.scratch.take_level(0);
-
-        // Base case: identical to the recursive one, plus stats recording.
-        if self.k <= 1 {
-            let mut informative_total = 0u32;
-            let mut best: Option<(Cost, u64, EntityId)> = None;
-            if let Some(w) = self.weights.as_deref() {
-                let wv = view.total_weight(w);
-                view.informative_weighted(&mut self.scratch.counts, &mut level.wstats, w);
-                for s in &level.wstats {
-                    if !excluded.is_empty() && excluded.contains(&s.entity) {
-                        continue;
-                    }
-                    informative_total += 1;
-                    let (n1, n2) = (s.count as u64, n - s.count as u64);
-                    let (w1, w2) = (s.wsum, wv - s.wsum);
-                    let score = combine_w(
-                        wv,
-                        wlb0(w1, n1, self.lb0.lb0(n1)),
-                        wlb0(w2, n2, self.lb0.lb0(n2)),
-                    );
-                    let cand_key = (score, (2 * w1).abs_diff(wv), s.entity);
-                    if best.is_none_or(|b| cand_key < b) {
-                        best = Some(cand_key);
-                    }
-                }
-            } else {
-                view.informative_into(&mut self.scratch.counts, &mut level.ecounts);
-                for ec in &level.ecounts {
-                    if !excluded.is_empty() && excluded.contains(&ec.entity) {
-                        continue;
-                    }
-                    informative_total += 1;
-                    let n1 = ec.count as u64;
-                    let cand_key = (self.lb0.lb1(n, n1), imbalance(n, n1), ec.entity);
-                    if best.is_none_or(|b| cand_key < b) {
-                        best = Some(cand_key);
-                    }
-                }
-            }
-            let result = best
-                .map(|(score, _, e)| (Some(e), score))
-                .unwrap_or((None, 0));
-            let beam_len = (informative_total as usize).min(self.beam.width(true)) as u32;
-            self.scratch.put_level(0, level);
-            if let (Some(key), (Some(_), _)) = (key, result) {
-                self.cache.insert(
-                    key,
-                    CacheEntry {
-                        entity: result.0,
-                        bound: result.1,
-                    },
-                );
-            }
-            let evaluated = informative_total.min(beam_len);
-            if self.record_stats {
-                self.stats.nodes.push(NodeStats {
-                    collection_size: n as u32,
-                    informative: informative_total,
-                    evaluated,
-                });
-            }
-            return (result.0, result.1, informative_total, evaluated);
-        }
-
-        // Fingerprint-free candidate generation; duplicate-partition dedup
-        // happens post-partition (the split computes the digest), exactly
-        // as in [`SearchCtx::klp`].
+        let lb0 = &self.lb0;
         if let Some(w) = self.weights.as_deref() {
             let wv = view.total_weight(w);
-            view.informative_weighted(&mut self.scratch.counts, &mut level.wstats, w);
-            for s in &level.wstats {
+            view.informative_weighted(&mut self.scratch.counts, wstats, w);
+            for s in wstats.iter() {
                 if !excluded.is_empty() && excluded.contains(&s.entity) {
                     continue;
                 }
                 let (n1, n2) = (s.count as u64, n - s.count as u64);
                 let (w1, w2) = (s.wsum, wv - s.wsum);
-                level.cand.push(Candidate {
-                    score: combine_w(
-                        wv,
-                        wlb0(w1, n1, self.lb0.lb0(n1)),
-                        wlb0(w2, n2, self.lb0.lb0(n2)),
-                    ),
+                f(Candidate {
+                    score: combine_w(wv, wlb0(w1, n1, lb0.lb0(n1)), wlb0(w2, n2, lb0.lb0(n2))),
                     imbalance: (2 * w1).abs_diff(wv),
                     entity: s.entity,
                     n1,
@@ -853,14 +391,14 @@ impl<M: CostModel> KLp<M> {
                 });
             }
         } else {
-            view.informative_into(&mut self.scratch.counts, &mut level.ecounts);
-            for ec in &level.ecounts {
+            view.informative_into(&mut self.scratch.counts, ecounts);
+            for ec in ecounts.iter() {
                 if !excluded.is_empty() && excluded.contains(&ec.entity) {
                     continue;
                 }
                 let n1 = ec.count as u64;
-                level.cand.push(Candidate {
-                    score: self.lb0.lb1(n, n1),
+                f(Candidate {
+                    score: lb0.lb1(n, n1),
                     imbalance: imbalance(n, n1),
                     entity: ec.entity,
                     n1,
@@ -868,57 +406,110 @@ impl<M: CostModel> KLp<M> {
                 });
             }
         }
-        let informative_total = level.cand.len() as u32;
-        let width = level.cand.len().min(self.beam.width(true));
-        let k = self.k;
+    }
 
-        let mut best: Option<EntityId> = None;
-        let mut evaluated: u32 = 0;
-        {
+    /// Algorithm 1 on `view` with lookahead `k` under the exclusive upper
+    /// limit `ul`. Depth 0 is the selection level: it takes the beam's
+    /// selection-level width, memoizes under its own key, and records the
+    /// node's statistics; deeper calls bound one side of a candidate split.
+    /// `depth` also indexes the scratch arena.
+    fn klp(
+        &mut self,
+        view: &SubCollection<'_>,
+        k: u32,
+        mut ul: Cost,
+        excluded: &FxHashSet<EntityId>,
+        depth: usize,
+    ) -> Found {
+        let n = view.len() as u64;
+        if n <= 1 {
+            return Found::default();
+        }
+        let is_top = depth == 0;
+
+        // Lines 1–6: cache probe. Skipped under exclusions — the cached
+        // answer may be an excluded entity.
+        let key = if excluded.is_empty() {
+            let key: CacheKey = (view.fingerprint(), view.len() as u32, k, is_top);
+            if let Some(entry) = self.cache.get(&key) {
+                if ul <= entry.bound {
+                    return Found {
+                        bound: entry.bound,
+                        ..Found::default()
+                    };
+                }
+                if entry.entity.is_some() {
+                    return Found {
+                        entity: entry.entity,
+                        bound: entry.bound,
+                        ..Found::default()
+                    };
+                }
+                // Negative entry with a smaller bound than our limit: the
+                // range [entry.bound, ul) is unexplored — recompute.
+            }
+            Some(key)
+        } else {
+            None
+        };
+
+        let width = self.beam.width(is_top);
+        let mut level = self.scratch.take_level(depth);
+        let found = if k <= 1 {
+            // Lines 7–10: base case — the minimal-LB₁ (most even) entity in
+            // a single min pass; no partition happens at k ≤ 1, so no
+            // candidate list is built. The beam can only truncate
+            // candidates *after* the minimum, so the global argmin is the
+            // beam's argmin for every beam width, and a beam's worth of
+            // candidates counts as evaluated.
+            let mut informative = 0u32;
+            let mut best: Option<(Cost, u64, EntityId)> = None;
+            self.score_candidates(view, excluded, &mut level.ecounts, &mut level.wstats, |c| {
+                informative += 1;
+                let key = rank_key(&c);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            });
+            Found {
+                entity: best.map(|(_, _, e)| e),
+                bound: best.map_or(0, |(score, _, _)| score),
+                informative,
+                evaluated: (informative as usize).min(width) as u32,
+            }
+        } else {
+            self.score_candidates(view, excluded, &mut level.ecounts, &mut level.wstats, |c| {
+                level.cand.push(c)
+            });
+            let informative = level.cand.len() as u32;
+            let width = level.cand.len().min(width);
+
+            // Rank by (LB₁, imbalance, id), lazily. The paper sorts by
+            // most-even partitioning and notes the order coincides with LB₁
+            // order — true for the real-valued `n·log₂n` but not for the
+            // ceiling version (e.g. n=35: a 16/19 split has ⌈16·log16⌉ +
+            // ⌈19·log19⌉ = 145 < 146 = the 17/18 split's, because 16 is a
+            // power of two). Ranking by LB₁ first keeps the early exit of
+            // lines 14–15 sound; imbalance remains the paper's tie-break.
             let mut ranked = Ranked::new(&mut level.cand);
-            let mut par_considered = false;
-            let mut i = 0usize;
-            while i < width {
+            let mut best: Option<EntityId> = None;
+            let mut evaluated = 0u32;
+            // Distinct entities often induce the *same* partition (entities
+            // with identical membership across the candidate sets —
+            // ubiquitous when sets are query outputs). Identical partitions
+            // have identical bounds, and the first entity in rank order
+            // wins ties either way, so duplicates can be skipped without
+            // changing the selection. The word-parallel split computes the
+            // yes-side digest anyway, so the dedup check reads it from the
+            // freshly split child before any bound work happens.
+            for i in 0..width {
                 let c = ranked.get(i);
+                // Lines 14–15: ranked early exit — prunes c and every
+                // candidate after it (Lemma 4.4 with l = 1).
                 if c.score >= ul {
                     break;
                 }
-                // Fan out once a finite incumbent exists and enough
-                // candidates still beat it (checked once — the incumbent
-                // only tightens, so survivors only shrink).
-                if ul < UNBOUNDED
-                    && !par_considered
-                    && self.threads > 1
-                    && view.len() >= self.min_par_view
-                {
-                    par_considered = true;
-                    let survivors = ranked.count_below(ul).min(width).saturating_sub(i);
-                    if survivors >= self.min_par_survivors {
-                        let (b, u, ev) = Self::parallel_phase(
-                            &mut self.workers,
-                            &mut self.cache,
-                            &mut self.scratch,
-                            &self.lb0,
-                            self.weights.as_deref(),
-                            self.beam,
-                            self.threads,
-                            k,
-                            view,
-                            excluded,
-                            &mut ranked,
-                            &mut level.seen,
-                            &mut level.yes,
-                            &mut level.no,
-                            i,
-                            width,
-                            (ul, best, evaluated),
-                        );
-                        best = b;
-                        ul = u;
-                        evaluated = ev;
-                        break;
-                    }
-                }
+                // A duplicate split counts as evaluated: its scan started.
                 evaluated += 1;
                 let (cpos, cneg) = view.partition_into(
                     c.entity,
@@ -927,204 +518,114 @@ impl<M: CostModel> KLp<M> {
                 );
                 debug_assert_eq!(cpos.len() as u64, c.n1);
                 let l = if level.seen.insert((cpos.fingerprint(), c.n1)) {
-                    let mut ctx = SearchCtx {
-                        beam: self.beam,
-                        lb0: &self.lb0,
-                        weights: self.weights.as_deref(),
-                        cache: &mut self.cache,
-                        scratch: &mut self.scratch,
-                    };
-                    ctx.bound_children(&cpos, &cneg, k, ul, excluded, 0)
+                    self.bound_children(&cpos, &cneg, k, ul, excluded, depth)
                 } else {
                     None // same split as an earlier (preferred) entity
                 };
                 level.yes = cpos.into_storage();
                 level.no = cneg.into_storage();
+                // Lines 33–36.
                 if let Some(l) = l {
                     if l < ul {
                         ul = l;
                         best = Some(c.entity);
                     }
                 }
-                i += 1;
             }
-        }
-        self.scratch.put_level(0, level);
+            Found {
+                entity: best,
+                bound: ul,
+                informative,
+                evaluated,
+            }
+        };
+        self.scratch.put_level(depth, level);
 
+        // The base case always finds an entity here: a memoized view has no
+        // exclusions, and two distinct sets differ in some entity.
         if let Some(key) = key {
             self.cache.insert(
                 key,
                 CacheEntry {
-                    entity: best,
-                    bound: ul,
+                    entity: found.entity,
+                    bound: found.bound,
                 },
             );
         }
-        if self.record_stats {
+        if is_top && self.record_stats {
             self.stats.nodes.push(NodeStats {
                 collection_size: n as u32,
-                informative: informative_total,
-                evaluated,
+                informative: found.informative,
+                evaluated: found.evaluated,
             });
         }
-        (best, ul, informative_total, evaluated)
+        found
     }
 
-    /// The parallel tail of the selection loop: candidates `start..width`
-    /// (in rank order) are claimed by pool workers sharing an atomic
-    /// incumbent, then a deterministic replay folds the recorded outcomes
-    /// exactly as the sequential scan would have. Returns the final
-    /// `(best, ul, evaluated)`.
-    ///
-    /// Losslessness: a worker's `Evaluated(l)` is the exact `LB_k` of its
-    /// candidate (pruning inside `bound_candidate` only ever *proves*
-    /// bounds, it never fabricates one), so the replay can use it whatever
-    /// limit the worker held. A worker's `Pruned(limit)` proves
-    /// `LB_k ≥ limit`; the replay accepts it only when `limit ≥` its own
-    /// running bound at that candidate's turn — otherwise the recorded
-    /// proof is too weak (the worker raced ahead of the rank order) and
-    /// the candidate is re-evaluated on the calling thread under the
-    /// sequential limit. Both cases reproduce the sequential update
-    /// exactly, so the argmin and bound are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_phase(
-        workers: &mut Vec<ParWorker>,
-        main_cache: &mut FxHashMap<CacheKey, CacheEntry>,
-        main_scratch: &mut LookaheadScratch,
-        lb0: &Lb0Table<M>,
-        weights: Option<&WeightTable>,
-        beam: KLpBeam,
-        threads: usize,
+    /// Lines 18–32: bound both children of one candidate split, or `None`
+    /// when either side is pruned against its upper limit.
+    fn bound_children(
+        &mut self,
+        cpos: &SubCollection<'_>,
+        cneg: &SubCollection<'_>,
         k: u32,
-        view: &SubCollection<'_>,
+        ul: Cost,
         excluded: &FxHashSet<EntityId>,
-        ranked: &mut Ranked<'_>,
-        seen: &mut FxHashSet<(Fingerprint, u64)>,
-        level_yes: &mut SubStorage,
-        level_no: &mut SubStorage,
-        start: usize,
-        width: usize,
-        state: (Cost, Option<EntityId>, u32),
-    ) -> (Option<EntityId>, Cost, u32) {
-        let (mut ul, mut best, mut evaluated) = state;
-        ranked.sort_through(width);
-        let cand = ranked.slice();
+        depth: usize,
+    ) -> Option<Cost> {
+        let n1 = cpos.len() as u64;
+        let n2 = cneg.len() as u64;
+        let n = n1 + n2;
 
-        // Duplicate-partition flags in rank order (the sequential scan
-        // would skip these after counting them as evaluated). Membership
-        // digests are computed per dispatched candidate here — candidates
-        // carry no fingerprint, the sequential path dedups on the digest
-        // its split produces.
-        let dup: Vec<bool> = (start..width)
-            .map(|j| !seen.insert((view.membership_fp(cand[j].entity), cand[j].n1)))
-            .collect();
+        // §6 weighted mode swaps the cardinality-based limits (eqs. 11/13)
+        // for their weight-mass counterparts; the recursion is otherwise
+        // identical. `wq` is the children's summed weights — computed here
+        // per candidate, so the recursion needs no weight threading.
+        let wq = self
+            .weights
+            .as_deref()
+            .map(|w| (cpos.total_weight(w), cneg.total_weight(w)));
 
-        let incumbent = AtomicU64::new(ul);
-        let claim = AtomicUsize::new(start);
-        let wcount = threads.min(width - start).max(1);
-        if workers.len() < wcount {
-            workers.resize_with(wcount, ParWorker::default);
-        }
-        let results = pool::run_workers(&mut workers[..wcount], |_, w: &mut ParWorker| {
-            let mut local: Vec<(usize, ParOutcome)> = Vec::new();
-            let mut level0 = w.scratch.take_level(0);
-            {
-                let mut ctx = SearchCtx {
-                    beam,
-                    lb0,
-                    weights,
-                    cache: &mut w.cache,
-                    scratch: &mut w.scratch,
-                };
-                loop {
-                    let idx = claim.fetch_add(1, Ordering::Relaxed);
-                    if idx >= width {
-                        break;
-                    }
-                    if dup[idx - start] {
-                        continue;
-                    }
-                    let c = cand[idx];
-                    let limit = incumbent.load(Ordering::Acquire);
-                    if c.score >= limit {
-                        local.push((idx, ParOutcome::Pruned(limit)));
-                        continue;
-                    }
-                    let (l, yes, no) = ctx.bound_candidate(
-                        view,
-                        &c,
-                        k,
-                        limit,
-                        excluded,
-                        mem::take(&mut level0.yes),
-                        mem::take(&mut level0.no),
-                    );
-                    level0.yes = yes;
-                    level0.no = no;
-                    match l {
-                        Some(l) => {
-                            incumbent.fetch_min(l, Ordering::AcqRel);
-                            local.push((idx, ParOutcome::Evaluated(l)));
-                        }
-                        None => local.push((idx, ParOutcome::Pruned(limit))),
-                    }
-                }
-            }
-            w.scratch.put_level(0, level0);
-            local
-        });
-        let mut outcomes: Vec<Option<ParOutcome>> = vec![None; width - start];
-        for (idx, o) in results.into_iter().flatten() {
-            outcomes[idx - start] = Some(o);
-        }
-
-        // Deterministic replay of the sequential scan.
-        let mut ctx = SearchCtx {
-            beam,
-            lb0,
-            weights,
-            cache: main_cache,
-            scratch: main_scratch,
-        };
-        for idx in start..width {
-            let c = cand[idx];
-            if c.score >= ul {
-                break;
-            }
-            evaluated += 1;
-            if dup[idx - start] {
-                continue;
-            }
-            let l = match outcomes[idx - start] {
-                Some(ParOutcome::Evaluated(l)) => Some(l),
-                Some(ParOutcome::Pruned(limit)) if limit >= ul => None,
-                // The worker's proof was recorded under a limit below the
-                // sequential running bound (it raced ahead of rank order)
-                // — or the candidate was skipped entirely. Re-evaluate
-                // under the sequential limit.
-                _ => {
-                    let (l, yes, no) = ctx.bound_candidate(
-                        view,
-                        &c,
-                        k,
-                        ul,
-                        excluded,
-                        mem::take(level_yes),
-                        mem::take(level_no),
-                    );
-                    *level_yes = yes;
-                    *level_no = no;
-                    l
-                }
+        // Lines 18–25: bound the positive side.
+        let l_pos = if n1 == 1 {
+            0
+        } else {
+            let ul_pos = match wq {
+                Some((w1, w2)) => ul_first_w(ul, w1 + w2, wlb0(w2, n2, self.lb0.lb0(n2)))?,
+                None => M::ul_first(ul, n, self.lb0.lb0(n2))?,
             };
-            if let Some(l) = l {
-                if l < ul {
-                    ul = l;
-                    best = Some(c.entity);
-                }
+            match self.klp(cpos, k - 1, ul_pos, excluded, depth + 1) {
+                Found {
+                    entity: Some(_),
+                    bound,
+                    ..
+                } => bound,
+                _ => return None, // pruned (lines 24–25)
             }
-        }
-        (best, ul, evaluated)
+        };
+
+        // Lines 26–32: bound the negative side with the tightened limit.
+        let l_neg = if n2 == 1 {
+            0
+        } else {
+            let ul_neg = match wq {
+                Some((w1, w2)) => ul_second_w(ul, w1 + w2, l_pos)?,
+                None => M::ul_second(ul, n, l_pos)?,
+            };
+            match self.klp(cneg, k - 1, ul_neg, excluded, depth + 1) {
+                Found {
+                    entity: Some(_),
+                    bound,
+                    ..
+                } => bound,
+                _ => return None,
+            }
+        };
+
+        Some(match wq {
+            Some((w1, w2)) => combine_w(w1 + w2, l_pos, l_neg),
+            None => M::combine(n, l_pos, l_neg),
+        })
     }
 }
 
@@ -1154,42 +655,39 @@ impl<M: CostModel> SelectionStrategy for KLp<M> {
         if view.len() < 2 {
             return None;
         }
-        self.prepare_for(view);
-        let (entity, _, _, _) = self.select_top(view, excluded);
-        entity
+        self.search(view, excluded).entity
     }
 
     fn select_with_detail(
         &mut self,
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
-    ) -> Option<crate::strategy::SelectionDetail> {
+    ) -> Option<SelectionDetail> {
         if view.len() < 2 {
             return None;
         }
-        self.prepare_for(view);
-        let (entity, bound, informative, evaluated) = self.select_top(view, excluded);
-        entity.map(|entity| crate::strategy::SelectionDetail {
+        let found = self.search(view, excluded);
+        found.entity.map(|entity| SelectionDetail {
             entity,
-            bound,
-            informative,
-            evaluated,
+            bound: found.bound,
+            informative: found.informative,
+            evaluated: found.evaluated,
         })
     }
 
     /// Reconstructs the ranked frontier of the selection `detail` came
     /// from. Pure by construction: one read-only counting pass into local
-    /// buffers regenerates the candidates exactly as `select_top` did
-    /// (same scores, same total rank order), and the scan horizon is
-    /// replayed from the detail's `evaluated` counter — the memo, dedup
-    /// state, and scratch invariants of live selection are untouched, so
-    /// any number of calls leaves future selections and recorded plan
-    /// nodes bit-identical.
+    /// buffers regenerates the candidates with the scoring function the
+    /// selection used (same scores, same total rank order), and the scan
+    /// horizon is replayed from the detail's `evaluated` counter — the
+    /// memo, dedup state, and scratch invariants of live selection are
+    /// untouched, so any number of calls leaves future selections and
+    /// recorded plan nodes bit-identical.
     fn explain_last(
         &mut self,
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
-        detail: &crate::strategy::SelectionDetail,
+        detail: &SelectionDetail,
     ) -> SelectionTrace {
         let n = view.len() as u64;
         let mut trace = SelectionTrace::default();
@@ -1197,46 +695,8 @@ impl<M: CostModel> SelectionStrategy for KLp<M> {
             return trace;
         }
         self.lb0.ensure(n);
-        let mut cand: Vec<Candidate> = Vec::new();
-        if let Some(w) = self.weights.as_deref() {
-            let wv = view.total_weight(w);
-            let mut wstats = Vec::new();
-            view.informative_weighted(&mut self.scratch.counts, &mut wstats, w);
-            for s in &wstats {
-                if !excluded.is_empty() && excluded.contains(&s.entity) {
-                    continue;
-                }
-                let (n1, n2) = (s.count as u64, n - s.count as u64);
-                let (w1, w2) = (s.wsum, wv - s.wsum);
-                cand.push(Candidate {
-                    score: combine_w(
-                        wv,
-                        wlb0(w1, n1, self.lb0.lb0(n1)),
-                        wlb0(w2, n2, self.lb0.lb0(n2)),
-                    ),
-                    imbalance: (2 * w1).abs_diff(wv),
-                    entity: s.entity,
-                    n1,
-                    fp: Fingerprint::ZERO,
-                });
-            }
-        } else {
-            let mut ecounts = Vec::new();
-            view.informative_into(&mut self.scratch.counts, &mut ecounts);
-            for ec in &ecounts {
-                if !excluded.is_empty() && excluded.contains(&ec.entity) {
-                    continue;
-                }
-                let n1 = ec.count as u64;
-                cand.push(Candidate {
-                    score: self.lb0.lb1(n, n1),
-                    imbalance: imbalance(n, n1),
-                    entity: ec.entity,
-                    n1,
-                    fp: Fingerprint::ZERO,
-                });
-            }
-        }
+        let (mut ecounts, mut wstats, mut cand) = (Vec::new(), Vec::new(), Vec::new());
+        self.score_candidates(view, excluded, &mut ecounts, &mut wstats, |c| cand.push(c));
         cand.sort_unstable_by_key(rank_key);
         trace.informative = cand.len() as u32;
         // A memoized selection re-ran no scan (informative/evaluated both
@@ -1487,8 +947,7 @@ mod tests {
     }
 
     /// A deterministic pseudo-random collection (splitmix-style LCG) large
-    /// enough to exercise the dense/sparse postings mix and the parallel
-    /// dispatch gate.
+    /// enough to exercise the dense/sparse postings mix.
     fn pseudo_random_collection(n_sets: usize, universe: u32, seed: u64) -> Collection {
         let mut state = seed;
         let mut next = move || {
@@ -1737,69 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_selection_is_bit_identical_to_sequential() {
-        // The tentpole determinism claim: a forced-parallel k-LP computes
-        // the same bound, argmin, and full tree (same entity at every
-        // node) as the sequential path, on collections large enough for
-        // real pruning races.
-        for seed in [7u64, 99, 4242] {
-            let c = pseudo_random_collection(90, 48, seed);
-            let v = c.full_view();
-            for k in 2..=3u32 {
-                let seq = KLp::<AvgDepth>::new(k).with_threads(1).bound(&v);
-                let par = KLp::<AvgDepth>::new(k)
-                    .with_threads(4)
-                    .with_parallel_gate(1, 0)
-                    .bound(&v);
-                assert_eq!(seq, par, "AD bound seed={seed} k={k}");
-                let seq_h = KLp::<Height>::new(k).with_threads(1).bound(&v);
-                let par_h = KLp::<Height>::new(k)
-                    .with_threads(4)
-                    .with_parallel_gate(1, 0)
-                    .bound(&v);
-                assert_eq!(seq_h, par_h, "H bound seed={seed} k={k}");
-
-                let t_seq = build_tree(&v, &mut KLp::<AvgDepth>::new(k).with_threads(1)).unwrap();
-                let t_par = build_tree(
-                    &v,
-                    &mut KLp::<AvgDepth>::new(k)
-                        .with_threads(4)
-                        .with_parallel_gate(1, 0),
-                )
-                .unwrap();
-                assert_eq!(
-                    t_seq.to_text(),
-                    t_par.to_text(),
-                    "tree divergence seed={seed} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_prune_stats_match_sequential() {
-        // The replay must reconstruct the sequential evaluated counts too.
-        let c = pseudo_random_collection(80, 40, 11);
-        let v = c.full_view();
-        let mut seq = KLp::<AvgDepth>::new(2).with_threads(1).record_stats(true);
-        let mut par = KLp::<AvgDepth>::new(2)
-            .with_threads(4)
-            .with_parallel_gate(1, 0)
-            .record_stats(true);
-        let _ = build_tree(&v, &mut seq).unwrap();
-        let _ = build_tree(&v, &mut par).unwrap();
-        assert_eq!(seq.stats().nodes, par.stats().nodes);
-    }
-
-    #[test]
-    fn threads_knob_round_trips() {
-        let klp = KLp::<AvgDepth>::new(2).with_threads(3);
-        assert_eq!(klp.threads(), 3);
-        let auto = KLp::<AvgDepth>::new(2).with_threads(0);
-        assert_eq!(auto.threads(), setdisc_util::pool::configured_threads());
-    }
-
-    #[test]
     fn ranked_prefix_matches_full_sort() {
         let c = pseudo_random_collection(60, 32, 5);
         let v = c.full_view();
@@ -1819,9 +1215,7 @@ mod tests {
             .collect();
         let mut sorted = cand.clone();
         sorted.sort_unstable_by_key(rank_key);
-        let below = sorted.iter().filter(|c| c.score < sorted[7].score).count();
         let mut ranked = Ranked::new(&mut cand);
-        assert_eq!(ranked.count_below(sorted[7].score), below);
         for (i, want) in sorted.iter().enumerate() {
             let got = ranked.get(i);
             assert_eq!(rank_key(&got), rank_key(want), "rank {i}");
@@ -1896,27 +1290,6 @@ mod tests {
             improved |= dw + 1e-9 < dp;
         }
         assert!(improved, "no hot set ever improved expected depth");
-    }
-
-    #[test]
-    fn weighted_parallel_matches_sequential() {
-        use crate::weights::WeightTable;
-        let c = pseudo_random_collection(80, 40, 21);
-        let raw: Vec<u64> = (0..c.len() as u64).map(|i| 1 + i % 7).collect();
-        let t = Arc::new(WeightTable::new(&raw).unwrap());
-        let v = c.full_view();
-        for k in 2..=3u32 {
-            let seq = KLp::<AvgDepth>::new(k)
-                .with_prior(Arc::clone(&t))
-                .with_threads(1)
-                .bound(&v);
-            let par = KLp::<AvgDepth>::new(k)
-                .with_prior(Arc::clone(&t))
-                .with_threads(4)
-                .with_parallel_gate(1, 0)
-                .bound(&v);
-            assert_eq!(seq, par, "weighted parallel divergence k={k}");
-        }
     }
 
     #[test]

@@ -547,9 +547,9 @@ impl<'c> SubCollection<'c> {
     /// The membership fingerprint of `e` within this view — the digest of
     /// the member sets containing it, equal to the yes side of
     /// `partition(e)` (and to the `fp` field a fingerprint counting pass
-    /// reports for `e`). `O(words + |postings ∩ view|)`; the parallel
-    /// lookahead uses it to dedup duplicate-partition candidates before
-    /// dispatching them to workers.
+    /// reports for `e`). `O(words + |postings ∩ view|)`; `KLp::explain_last`
+    /// uses it to re-identify duplicate-partition candidates without
+    /// splitting the view.
     pub fn membership_fp(&self, e: EntityId) -> Fingerprint {
         self.membership_stat(e).1
     }

@@ -48,7 +48,7 @@ use setdisc_core::discovery::Answer;
 use setdisc_core::engine::Engine;
 use setdisc_core::weights::WeightTable;
 use setdisc_plan::{PlanCache, PrecomputeBudget, ScopedPlanCache};
-use setdisc_service::strategy::{BoxedStrategy, LookaheadTuning};
+use setdisc_service::strategy::BoxedStrategy;
 use setdisc_service::{Snapshot, SnapshotHandle, StrategySpec};
 use setdisc_util::report::JsonObject;
 use std::io::{BufRead, Write};
@@ -230,7 +230,7 @@ fn resolve_strategy(
     match weights {
         Some(w) => {
             let strategy = spec
-                .build_weighted(&LookaheadTuning::default(), Arc::clone(w))
+                .build_weighted(Arc::clone(w))
                 .unwrap_or_else(|e| die(&e));
             (strategy, spec.weighted_label(w), spec.weighted_plan_key(w))
         }

@@ -94,8 +94,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// belongs inside `f`.
 ///
 /// The worker count comes from [`setdisc_util::pool::configured_threads`] — sized from
-/// `std::thread::available_parallelism` with a `SETDISC_THREADS` override —
-/// the same knob that drives the parallel k-LP candidate loop. Work
+/// `std::thread::available_parallelism` with a `SETDISC_THREADS` override. Work
 /// distribution is the pool's atomic [`setdisc_util::pool::ClaimCounter`]; each item sits
 /// behind its own (uncontended) mutex purely so the claiming worker can
 /// move it out without `unsafe`, and workers accumulate `(index, output)`

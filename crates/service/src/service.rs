@@ -77,10 +77,6 @@ pub struct ServiceConfig {
     /// Idle timeout applied by [`Service::evict_idle`]; `None` disables
     /// eviction.
     pub idle_timeout: Option<Duration>,
-    /// Parallel-lookahead tuning applied to every k-LP engine this service
-    /// builds (selection stays bit-identical; this only sizes the worker
-    /// pool and its dispatch gate to the deployment).
-    pub lookahead: crate::strategy::LookaheadTuning,
     /// Node bound of the per-snapshot plan cache shared by every session
     /// with a deterministic strategy; `0` disables plan caching entirely.
     /// Cached selections are bit-identical to uncached ones (pinned by the
@@ -110,7 +106,6 @@ impl Default for ServiceConfig {
             max_sessions: 100_000,
             default_budget: 10_000,
             idle_timeout: None,
-            lookahead: crate::strategy::LookaheadTuning::default(),
             plan_cache_capacity: 1 << 18,
             plan_persist: None,
             edge: crate::server::EdgeLimits::default(),
@@ -802,7 +797,7 @@ impl Service {
         };
         let (built, label, plan_key) = match &weights {
             Some(w) => {
-                let built = match strategy.build_weighted(&self.config.lookahead, w.clone()) {
+                let built = match strategy.build_weighted(w.clone()) {
                     Ok(b) => b,
                     Err(e) => return err_response(&e),
                 };
@@ -812,11 +807,7 @@ impl Service {
                     strategy.weighted_plan_key(w),
                 )
             }
-            None => (
-                strategy.build_tuned(&self.config.lookahead),
-                strategy.label(),
-                strategy.plan_key(),
-            ),
+            None => (strategy.build(), strategy.label(), strategy.plan_key()),
         };
         let mut engine: ServiceEngine = Engine::new(
             SnapshotHandle(std::sync::Arc::clone(&snapshot)),

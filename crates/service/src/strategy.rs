@@ -18,23 +18,6 @@ use std::sync::Arc;
 /// A boxed, table-storable selection strategy.
 pub type BoxedStrategy = Box<dyn SelectionStrategy + Send>;
 
-/// Deployment-level tuning for the parallel k-LP engine, applied to every
-/// lookahead strategy the service builds. This is service configuration,
-/// not a wire field: the parallel selection loop is bit-identical to the
-/// sequential one (see `setdisc_core::lookahead`), so clients cannot — and
-/// need not — observe it; operators size it to the machine via
-/// [`crate::ServiceConfig`] or the `SETDISC_THREADS` environment knob.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub struct LookaheadTuning {
-    /// Worker threads for the selection loop (`0` keeps the
-    /// `setdisc_util::pool::configured_threads` default, `1` forces the
-    /// sequential path).
-    pub threads: usize,
-    /// Optional `(min_survivors, min_view)` dispatch-gate override; `None`
-    /// keeps the conservative library defaults.
-    pub parallel_gate: Option<(usize, usize)>,
-}
-
 /// Cost metric selector (`ad` = average depth, `h` = height).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Metric {
@@ -151,47 +134,23 @@ impl StrategySpec {
         Ok(spec)
     }
 
-    /// Builds the configured strategy with default lookahead tuning.
+    /// Builds the configured strategy.
     pub fn build(&self) -> BoxedStrategy {
-        self.build_tuned(&LookaheadTuning::default())
-    }
-
-    /// Builds the configured strategy, applying `tuning` to the k-LP
-    /// families (the greedy strategies have no parallel loop to tune).
-    pub fn build_tuned(&self, tuning: &LookaheadTuning) -> BoxedStrategy {
-        fn tune<M: setdisc_core::cost::CostModel>(
-            mut klp: KLp<M>,
-            tuning: &LookaheadTuning,
-        ) -> KLp<M> {
-            if tuning.threads != 0 {
-                klp = klp.with_threads(tuning.threads);
-            }
-            if let Some((min_survivors, min_view)) = tuning.parallel_gate {
-                klp = klp.with_parallel_gate(min_survivors, min_view);
-            }
-            klp
-        }
         match (self.kind, self.metric) {
-            (StrategyKind::KLp, Metric::AvgDepth) => {
-                Box::new(tune(KLp::<AvgDepth>::new(self.k), tuning))
-            }
-            (StrategyKind::KLp, Metric::Height) => {
-                Box::new(tune(KLp::<Height>::new(self.k), tuning))
-            }
+            (StrategyKind::KLp, Metric::AvgDepth) => Box::new(KLp::<AvgDepth>::new(self.k)),
+            (StrategyKind::KLp, Metric::Height) => Box::new(KLp::<Height>::new(self.k)),
             (StrategyKind::KLpLe, Metric::AvgDepth) => {
-                Box::new(tune(KLp::<AvgDepth>::limited(self.k, self.beam), tuning))
+                Box::new(KLp::<AvgDepth>::limited(self.k, self.beam))
             }
             (StrategyKind::KLpLe, Metric::Height) => {
-                Box::new(tune(KLp::<Height>::limited(self.k, self.beam), tuning))
+                Box::new(KLp::<Height>::limited(self.k, self.beam))
             }
-            (StrategyKind::KLpLve, Metric::AvgDepth) => Box::new(tune(
-                KLp::<AvgDepth>::limited_variable(self.k, self.beam),
-                tuning,
-            )),
-            (StrategyKind::KLpLve, Metric::Height) => Box::new(tune(
-                KLp::<Height>::limited_variable(self.k, self.beam),
-                tuning,
-            )),
+            (StrategyKind::KLpLve, Metric::AvgDepth) => {
+                Box::new(KLp::<AvgDepth>::limited_variable(self.k, self.beam))
+            }
+            (StrategyKind::KLpLve, Metric::Height) => {
+                Box::new(KLp::<Height>::limited_variable(self.k, self.beam))
+            }
             (StrategyKind::MostEven, _) => Box::new(MostEven::new()),
             (StrategyKind::InfoGain, _) => Box::new(InfoGain::new()),
             (StrategyKind::IndistPairs, _) => Box::new(IndistinguishablePairs::new()),
@@ -206,33 +165,16 @@ impl StrategySpec {
     /// the k-LP lookaheads under the AD metric (weighted total depth) and
     /// most-even (weighted balance). Everything else is an error the wire
     /// layer reports verbatim.
-    pub fn build_weighted(
-        &self,
-        tuning: &LookaheadTuning,
-        weights: Arc<WeightTable>,
-    ) -> Result<BoxedStrategy, String> {
-        fn tune<M: setdisc_core::cost::CostModel>(
-            mut klp: KLp<M>,
-            tuning: &LookaheadTuning,
-        ) -> KLp<M> {
-            if tuning.threads != 0 {
-                klp = klp.with_threads(tuning.threads);
-            }
-            if let Some((min_survivors, min_view)) = tuning.parallel_gate {
-                klp = klp.with_parallel_gate(min_survivors, min_view);
-            }
-            klp
-        }
+    pub fn build_weighted(&self, weights: Arc<WeightTable>) -> Result<BoxedStrategy, String> {
         match (self.kind, self.metric) {
-            (StrategyKind::KLp, Metric::AvgDepth) => Ok(Box::new(
-                tune(KLp::<AvgDepth>::new(self.k), tuning).with_prior(weights),
-            )),
+            (StrategyKind::KLp, Metric::AvgDepth) => {
+                Ok(Box::new(KLp::<AvgDepth>::new(self.k).with_prior(weights)))
+            }
             (StrategyKind::KLpLe, Metric::AvgDepth) => Ok(Box::new(
-                tune(KLp::<AvgDepth>::limited(self.k, self.beam), tuning).with_prior(weights),
+                KLp::<AvgDepth>::limited(self.k, self.beam).with_prior(weights),
             )),
             (StrategyKind::KLpLve, Metric::AvgDepth) => Ok(Box::new(
-                tune(KLp::<AvgDepth>::limited_variable(self.k, self.beam), tuning)
-                    .with_prior(weights),
+                KLp::<AvgDepth>::limited_variable(self.k, self.beam).with_prior(weights),
             )),
             (StrategyKind::MostEven, _) => Ok(Box::new(WeightedMostEven::new(weights))),
             _ => Err(format!(
@@ -433,11 +375,10 @@ mod tests {
     #[test]
     fn weighted_builds_label_and_key_agree() {
         let weights = Arc::new(WeightTable::new(&[5, 1, 1, 1, 1, 1, 1]).unwrap());
-        let tuning = LookaheadTuning::default();
         for kind in ["klp", "klp-le", "klp-lve", "most-even"] {
             let spec = StrategySpec::parse(kind, Some("ad"), Some(2), Some(5), None).unwrap();
             let built = spec
-                .build_weighted(&tuning, Arc::clone(&weights))
+                .build_weighted(Arc::clone(&weights))
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(built.name(), spec.weighted_label(&weights), "{kind}");
             let wkey = spec.weighted_plan_key(&weights).expect(kind);
@@ -460,7 +401,7 @@ mod tests {
         ] {
             let spec = StrategySpec::parse(kind, Some(metric), None, None, None).unwrap();
             let err = spec
-                .build_weighted(&tuning, Arc::clone(&weights))
+                .build_weighted(Arc::clone(&weights))
                 .err()
                 .unwrap_or_else(|| panic!("{kind}/{metric} should refuse a prior"));
             assert!(err.contains("does not support a prior"), "{err}");

@@ -182,77 +182,6 @@ fn concurrent_wire_sessions_match_direct_sessions_bit_for_bit() {
 }
 
 #[test]
-fn parallel_lookahead_wire_sessions_match_single_threaded_direct_sessions() {
-    // The PR's determinism claim at the service layer: a service whose k-LP
-    // engines run the *parallel* selection loop (forced on via the
-    // deployment tuning, with the dispatch gate wide open so every node
-    // fans out) must produce wire transcripts bit-identical to a direct
-    // Session running the *forced single-threaded* strategy.
-    use setdisc_core::cost::AvgDepth;
-    use setdisc_core::lookahead::KLp;
-    use setdisc_service::strategy::LookaheadTuning;
-    use setdisc_service::ServiceConfig;
-
-    let service = Arc::new(Service::new(ServiceConfig {
-        lookahead: LookaheadTuning {
-            threads: 4,
-            parallel_gate: Some((1, 0)),
-        },
-        ..ServiceConfig::default()
-    }));
-    let fixture = "copyadd:150:0.9:5";
-    service.registry().install_fixture(fixture).unwrap();
-    let snapshot = service.registry().get(fixture).unwrap();
-    let n = snapshot.collection().len();
-
-    // Direct reference with explicit threads=1 (not the default, which may
-    // be parallel-capable on a multicore host).
-    let sequential_reference = |plan: &Plan<'_>| -> (Vec<EntityId>, Vec<SetId>) {
-        let strategy: Box<dyn setdisc_core::strategy::SelectionStrategy + Send> =
-            Box::new(KLp::<AvgDepth>::new(2).with_threads(1));
-        let mut session = Session::new(plan.snapshot.collection(), &[], strategy);
-        let mut asked = Vec::new();
-        while let Some(entity) = session.next_question() {
-            let answer = plan.answer_for(entity, asked.len());
-            asked.push(entity);
-            session.answer(entity, answer);
-        }
-        (asked, session.outcome().candidates)
-    };
-
-    std::thread::scope(|scope| {
-        // Every 8th target (plus an unknown-injection case) across 8
-        // concurrent clients keeps the case fast while exercising real
-        // interleaving.
-        for t in (0..n as u32).step_by(8) {
-            let service = Arc::clone(&service);
-            let snapshot = Arc::clone(&snapshot);
-            scope.spawn(move || {
-                let mut client = InProcessClient { service };
-                for unknown_at in [vec![], vec![1]] {
-                    let plan = Plan {
-                        snapshot: &snapshot,
-                        target: SetId(t),
-                        unknown_at: &unknown_at,
-                    };
-                    let (ref_asked, ref_outcome) = sequential_reference(&plan);
-                    let (wire_asked, wire_survivors) = wire_run(&mut client, fixture, &plan);
-                    assert_eq!(
-                        ref_asked, wire_asked,
-                        "parallel engine diverged for target {t} (unknowns {unknown_at:?})"
-                    );
-                    assert_eq!(
-                        ref_outcome.len(),
-                        wire_survivors,
-                        "outcome size, target {t}"
-                    );
-                }
-            });
-        }
-    });
-}
-
-#[test]
 fn shared_plan_cache_sessions_match_cache_off_direct_sessions() {
     // The PR-5 tentpole at the service layer: every wire session shares the
     // snapshot's plan cache (on by default), including repeat visits to the

@@ -10,10 +10,6 @@
 //! * [`intern`] — the string name table behind entity interning and
 //!   categorical dictionaries: dense first-appearance ids over one byte
 //!   arena, probed by a hash that mixes every byte of the name.
-//! * [`bitset`] — a dense, fixed-capacity bitset for id-set algebra
-//!   (currently a standalone utility: the hot paths moved to sorted id
-//!   vectors + fingerprints), with a [`Fingerprint`]-compatible content
-//!   digest so bitset- and vector-represented sets agree on identity.
 //! * [`faults`] — deterministic fault injection behind named hook sites
 //!   (seeded schedules of I/O errors, short writes, delays, and panics),
 //!   armed by the chaos test suite and the `SETDISC_FAULTS` environment
@@ -26,9 +22,9 @@
 //!   shards), span timing at the same named sites [`faults`] trips (armed
 //!   via `SETDISC_OBS`; one relaxed load when disarmed), and the leveled
 //!   stderr logger every binary's diagnostics flow through.
-//! * [`pool`] — the scoped worker pool and the single `SETDISC_THREADS`
-//!   knob behind every parallel region (experiment `par_map`, the parallel
-//!   k-LP candidate loop), scheduled by an atomic claim counter.
+//! * [`pool`] — the scoped worker pool behind the experiment harness's
+//!   `par_map`, sized by the `SETDISC_THREADS` knob and scheduled by an
+//!   atomic claim counter.
 //! * [`mem`] — the [`mem::HeapSize`] accounting trait behind the memory
 //!   governor's global byte budget: exact owned-heap-bytes reporting for
 //!   the workspace's own types, surfaced through the [`obs`] memory
@@ -45,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod faults;
 pub mod hash;
 pub mod intern;
@@ -57,6 +52,5 @@ pub mod pool;
 pub mod report;
 pub mod rng;
 
-pub use bitset::DenseBitSet;
 pub use hash::{Fingerprint, FxHashMap, FxHashSet, FxHasher};
 pub use rng::Rng;

@@ -1,22 +1,18 @@
 //! A reusable scoped worker pool with claim-counter scheduling.
 //!
-//! Every parallel region in the workspace — `setdisc-eval`'s `par_map`
-//! over experiment workloads and the k-LP candidate loop in
-//! `setdisc-core::lookahead` — goes through this module, so one knob
-//! controls them all: [`configured_threads`] reads the `SETDISC_THREADS`
-//! environment variable (clamped to ≥ 1) and falls back to
+//! The workspace's one parallel region, `setdisc-eval`'s `par_map` over
+//! experiment workloads, goes through this module and is sized by one
+//! knob: [`configured_threads`] reads the `SETDISC_THREADS` environment
+//! variable (clamped to ≥ 1) and falls back to
 //! [`std::thread::available_parallelism`].
 //!
 //! The scheduling design is a single atomic **claim counter** rather than a
 //! work queue: each worker `fetch_add`s the next item index, so there is no
-//! contended lock and items are handed out in index order — the property
-//! the parallel lookahead's deterministic replay relies on (earlier
-//! candidates are claimed no later than later ones). Workers are plain
-//! [`std::thread::scope`] threads, which keeps the pool free of `unsafe`
-//! and lets jobs borrow from the caller's stack; regions therefore pay one
-//! thread spawn per worker, and callers gate parallelism on having enough
-//! work to amortize it (microseconds, against regions that run for
-//! milliseconds).
+//! contended lock and items are handed out in index order. Workers are
+//! plain [`std::thread::scope`] threads, which keeps the pool free of
+//! `unsafe` and lets jobs borrow from the caller's stack; a region
+//! therefore pays one thread spawn per worker (microseconds, against
+//! experiment workloads that run for milliseconds or more).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -48,8 +44,8 @@ pub fn threads_from(env_value: Option<&str>, fallback: usize) -> (usize, Option<
     }
 }
 
-/// The configured worker count for every parallel region in the process:
-/// `SETDISC_THREADS` when set (≥ 1; `1` disables parallelism), else the
+/// The configured worker count for `par_map`: `SETDISC_THREADS` when set
+/// (≥ 1; `1` disables parallelism), else the
 /// machine's available parallelism. The environment is read **once** — the
 /// result is cached for the process lifetime, and a malformed value warns
 /// on stderr exactly once instead of being silently re-ignored at every
@@ -103,10 +99,10 @@ impl ClaimCounter {
 /// thread and returns the per-worker results in state order. With zero or
 /// one state the closure runs inline on the caller's thread (no spawn).
 ///
-/// This is the pool's core primitive: per-worker mutable state (scratch
-/// arenas, memo caches, local output buffers) lives in `states`, shared
-/// read-only state is captured by `f`, and work distribution is the
-/// caller's [`ClaimCounter`].
+/// This is the pool's core primitive: per-worker mutable state (such as
+/// local output buffers) lives in `states`, shared read-only state is
+/// captured by `f`, and work distribution is the caller's
+/// [`ClaimCounter`].
 pub fn run_workers<S: Send, R: Send>(
     states: &mut [S],
     f: impl Fn(usize, &mut S) -> R + Sync,

@@ -243,55 +243,6 @@ proptest! {
             prop_assert_eq!(informative, expect);
         }
     }
-
-    /// The parallel selection loop is bit-identical to the sequential one:
-    /// same bound, same argmin, and the same entity at every node of every
-    /// tree, across beam variants, metrics, and lookahead depths.
-    #[test]
-    fn parallel_klp_is_bit_identical_to_sequential(
-        c in arb_collection(10, 14),
-        k in 2..=3u32,
-    ) {
-        let view = c.full_view();
-        let seq_bound = KLp::<AvgDepth>::new(k).with_threads(1).bound(&view);
-        let par_bound = KLp::<AvgDepth>::new(k)
-            .with_threads(4)
-            .with_parallel_gate(1, 0)
-            .bound(&view);
-        prop_assert_eq!(seq_bound, par_bound, "AD bound, k={}", k);
-        let seq_h = KLp::<Height>::new(k).with_threads(1).bound(&view);
-        let par_h = KLp::<Height>::new(k)
-            .with_threads(4)
-            .with_parallel_gate(1, 0)
-            .bound(&view);
-        prop_assert_eq!(seq_h, par_h, "H bound, k={}", k);
-
-        let mut seq_tree = KLp::<AvgDepth>::new(k).with_threads(1);
-        let mut par_tree = KLp::<AvgDepth>::new(k).with_threads(4).with_parallel_gate(1, 0);
-        prop_assert_eq!(
-            build_tree(&view, &mut seq_tree).expect("tree").to_text(),
-            build_tree(&view, &mut par_tree).expect("tree").to_text(),
-            "full k-LP tree, k={}", k
-        );
-        let mut seq_beam = KLp::<Height>::limited(k, 3).with_threads(1);
-        let mut par_beam = KLp::<Height>::limited(k, 3)
-            .with_threads(4)
-            .with_parallel_gate(1, 0);
-        prop_assert_eq!(
-            build_tree(&view, &mut seq_beam).expect("tree").to_text(),
-            build_tree(&view, &mut par_beam).expect("tree").to_text(),
-            "k-LPLE tree, k={}", k
-        );
-        let mut seq_lve = KLp::<AvgDepth>::limited_variable(k, 3).with_threads(1);
-        let mut par_lve = KLp::<AvgDepth>::limited_variable(k, 3)
-            .with_threads(4)
-            .with_parallel_gate(1, 0);
-        prop_assert_eq!(
-            build_tree(&view, &mut seq_lve).expect("tree").to_text(),
-            build_tree(&view, &mut par_lve).expect("tree").to_text(),
-            "k-LPLVE tree, k={}", k
-        );
-    }
 }
 
 /// The kernels must also agree across the dense/sparse postings split,
@@ -330,12 +281,4 @@ fn bitmap_kernels_agree_on_large_mixed_density_collection() {
             assert_eq!(n1.fingerprint(), n2.fingerprint());
         }
     }
-    // And the parallel selection stays bit-identical at this scale.
-    let view = c.full_view();
-    let seq = KLp::<AvgDepth>::new(2).with_threads(1).bound(&view);
-    let par = KLp::<AvgDepth>::new(2)
-        .with_threads(4)
-        .with_parallel_gate(1, 0)
-        .bound(&view);
-    assert_eq!(seq, par);
 }
