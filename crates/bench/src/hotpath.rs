@@ -11,7 +11,7 @@ use setdisc_core::builder::build_tree;
 use setdisc_core::cost::AvgDepth;
 use setdisc_core::lookahead::{GainK, KLp};
 use setdisc_core::optimal::OptimalSolver;
-use setdisc_core::subcollection::{CountScratch, SubStorage};
+use setdisc_core::subcollection::SubStorage;
 use setdisc_util::obs;
 use setdisc_util::report::{fmt_duration, parse_json, JsonObject, JsonValue};
 use std::hint::black_box;
@@ -216,9 +216,8 @@ pub fn run_kernels(scale: HotpathScale, filter: Option<&str>) -> Vec<KernelRepor
         elements,
         "elements",
         &mut || {
-            let mut scratch = CountScratch::new();
             let mut out = Vec::new();
-            big_view.count_entities(&mut scratch, &mut out);
+            big_view.count_entities(&mut out);
             out.len() as u64
         },
     );
@@ -239,8 +238,7 @@ pub fn run_kernels(scale: HotpathScale, filter: Option<&str>) -> Vec<KernelRepor
     );
 
     // Partition sweep: split the big view on each of a slice of entities.
-    let mut scratch = CountScratch::new();
-    let informative = big_view.informative_entities(&mut scratch);
+    let informative = big_view.informative_entities();
     let probes: Vec<_> = informative
         .iter()
         .step_by((informative.len() / 200).max(1))
@@ -468,7 +466,6 @@ pub fn run_calibration(scale: HotpathScale) -> Calibration {
         let coll = crate::synthetic(n, 0.9);
         let view = coll.full_view();
         let preview = view.dispatch_preview(2);
-        let mut scratch = CountScratch::new();
         let mut out: Vec<EntityStats> = Vec::new();
         let rep = time_kernel(
             &format!("calibrate_elements_n{n}"),
@@ -477,7 +474,7 @@ pub fn run_calibration(scale: HotpathScale) -> Calibration {
             "elements",
             || {
                 out.clear();
-                view.count_entities_with_fp_elements(&mut scratch, &mut out);
+                view.count_entities_with_fp_elements(&mut out);
                 out.len() as u64
             },
         );

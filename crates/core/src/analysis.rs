@@ -9,7 +9,6 @@
 
 use crate::collection::Collection;
 use crate::cost::{AvgDepth, CostModel, Height};
-use crate::subcollection::CountScratch;
 use setdisc_util::Rng;
 
 /// Structural profile of a collection.
@@ -46,10 +45,9 @@ impl CollectionProfile {
     /// `max_pairs` sampled pairs (deterministic from `seed`).
     pub fn new(collection: &Collection, max_pairs: usize, seed: u64) -> Self {
         let n = collection.len();
-        let mut scratch = CountScratch::new();
         let view = collection.full_view();
         let mut counts = Vec::new();
-        view.count_entities(&mut scratch, &mut counts);
+        view.count_entities(&mut counts);
         let distinct = counts.len();
         let informative = counts.iter().filter(|ec| (ec.count as usize) < n).count();
         let universal = distinct - informative;
@@ -107,9 +105,8 @@ impl CollectionProfile {
         if n < 2.0 {
             return 0.0;
         }
-        let mut scratch = CountScratch::new();
         let view = collection.full_view();
-        let inf = view.informative_entities(&mut scratch);
+        let inf = view.informative_entities();
         let best_minority = inf
             .iter()
             .map(|ec| (ec.count as f64).min(n - ec.count as f64))

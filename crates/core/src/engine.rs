@@ -509,13 +509,13 @@ impl<C: CollectionRef, S: SelectionStrategy> Engine<C, S> {
                     .map(|d| self.strategy.explain_last(&view, &self.excluded, d));
                 // Predicted cost drivers for the fingerprint counting pass
                 // (dispatch factor 2), next to one measured read-only pass
-                // of whichever kernel the dispatcher picks — local scratch,
+                // of whichever kernel the dispatcher picks — into a local
+                // buffer, and the thread's counting buffer is left clean,
                 // so selection state is untouched.
                 let dispatch = view.dispatch_preview(2);
                 let started = std::time::Instant::now();
-                let mut scratch = crate::subcollection::CountScratch::new();
                 let mut counted = Vec::new();
-                view.count_entities_with_fp(&mut scratch, &mut counted);
+                view.count_entities_with_fp(&mut counted);
                 let measured_count_ns =
                     started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 self.last_provenance = Some(Provenance {

@@ -31,8 +31,11 @@
 //! The selection level is depth 0 of the same recursion: it differs only in
 //! its beam width (k-LPLVE), its memo key, and in recording the node's
 //! Table-4 statistics. The recursion is allocation-free in steady state:
-//! candidate lists, counting buffers, and the storage of every split live
-//! in a depth-indexed [`LookaheadScratch`] arena; splits are word-parallel
+//! candidate lists and the storage of every split live in a depth-indexed
+//! arena that each selection borrows from its thread (as counting passes
+//! borrow the thread's counting buffer), so a strategy instance holds only
+//! what outlives a selection — memo, `LB₀` table, and statistics — and no
+//! buffer sized to the collection; splits are word-parallel
 //! bitmap kernels ([`SubCollection::partition_into`]); `LB₀` values come
 //! from a per-search [`Lb0Table`]; and duplicate-partition candidates
 //! (entities with identical membership across the member sets) are
@@ -165,6 +168,11 @@ struct CacheEntry {
     bound: Cost,
 }
 
+/// Bytes one [`KLp`] memo entry occupies in its hash table: key, value,
+/// and the table's control byte. Session admission charges this per
+/// expected entry.
+pub const MEMO_ENTRY_BYTES: usize = std::mem::size_of::<(CacheKey, CacheEntry)>() + 1;
+
 /// What one call of [`KLp::klp`] found: the argmin when some candidate
 /// achieves `LB_k` below the call's upper limit (otherwise `None`, with
 /// `bound` the tightest bound knowledge), plus the node's Table-4 counts
@@ -239,7 +247,6 @@ pub struct KLp<M: CostModel> {
     weights: Option<Arc<WeightTable>>,
     cache: FxHashMap<CacheKey, CacheEntry>,
     cache_token: u64,
-    scratch: LookaheadScratch,
     lb0: Lb0Table<M>,
     stats: PruneStats,
     record_stats: bool,
@@ -295,7 +302,6 @@ impl<M: CostModel> KLp<M> {
             weights: None,
             cache: FxHashMap::default(),
             cache_token: 0,
-            scratch: LookaheadScratch::new(),
             lb0: Lb0Table::new(),
             stats: PruneStats::default(),
             record_stats: false,
@@ -344,7 +350,8 @@ impl<M: CostModel> KLp<M> {
     }
 
     /// One selection: drops memo entries left by another collection, then
-    /// runs Algorithm 1 at the selection level with no upper limit.
+    /// runs Algorithm 1 at the selection level with no upper limit, in the
+    /// thread's lookahead arena.
     fn search(&mut self, view: &SubCollection<'_>, excluded: &FxHashSet<EntityId>) -> Found {
         let token = view.collection().token();
         if token != self.cache_token {
@@ -352,7 +359,7 @@ impl<M: CostModel> KLp<M> {
             self.cache_token = token;
         }
         self.lb0.ensure(view.len() as u64);
-        self.klp(view, self.k, UNBOUNDED, excluded, 0)
+        LookaheadScratch::with_thread(|arena| self.klp(arena, view, self.k, UNBOUNDED, excluded, 0))
     }
 
     /// Scores every informative, non-excluded entity of `view` as a
@@ -364,7 +371,7 @@ impl<M: CostModel> KLp<M> {
     /// ever partitioned, and the split computes the yes-side digest the
     /// duplicate check needs as a byproduct.
     fn score_candidates(
-        &mut self,
+        &self,
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
         ecounts: &mut Vec<EntityCount>,
@@ -375,7 +382,7 @@ impl<M: CostModel> KLp<M> {
         let lb0 = &self.lb0;
         if let Some(w) = self.weights.as_deref() {
             let wv = view.total_weight(w);
-            view.informative_weighted(&mut self.scratch.counts, wstats, w);
+            view.informative_weighted(wstats, w);
             for s in wstats.iter() {
                 if !excluded.is_empty() && excluded.contains(&s.entity) {
                     continue;
@@ -391,7 +398,7 @@ impl<M: CostModel> KLp<M> {
                 });
             }
         } else {
-            view.informative_into(&mut self.scratch.counts, ecounts);
+            view.informative_into(ecounts);
             for ec in ecounts.iter() {
                 if !excluded.is_empty() && excluded.contains(&ec.entity) {
                     continue;
@@ -412,9 +419,10 @@ impl<M: CostModel> KLp<M> {
     /// limit `ul`. Depth 0 is the selection level: it takes the beam's
     /// selection-level width, memoizes under its own key, and records the
     /// node's statistics; deeper calls bound one side of a candidate split.
-    /// `depth` also indexes the scratch arena.
+    /// `depth` also indexes `arena`.
     fn klp(
         &mut self,
+        arena: &mut LookaheadScratch,
         view: &SubCollection<'_>,
         k: u32,
         mut ul: Cost,
@@ -454,7 +462,7 @@ impl<M: CostModel> KLp<M> {
         };
 
         let width = self.beam.width(is_top);
-        let mut level = self.scratch.take_level(depth);
+        let mut level = arena.take_level(depth);
         let found = if k <= 1 {
             // Lines 7–10: base case — the minimal-LB₁ (most even) entity in
             // a single min pass; no partition happens at k ≤ 1, so no
@@ -518,7 +526,7 @@ impl<M: CostModel> KLp<M> {
                 );
                 debug_assert_eq!(cpos.len() as u64, c.n1);
                 let l = if level.seen.insert((cpos.fingerprint(), c.n1)) {
-                    self.bound_children(&cpos, &cneg, k, ul, excluded, depth)
+                    self.bound_children(arena, &cpos, &cneg, k, ul, excluded, depth)
                 } else {
                     None // same split as an earlier (preferred) entity
                 };
@@ -539,7 +547,7 @@ impl<M: CostModel> KLp<M> {
                 evaluated,
             }
         };
-        self.scratch.put_level(depth, level);
+        arena.put_level(depth, level);
 
         // The base case always finds an entity here: a memoized view has no
         // exclusions, and two distinct sets differ in some entity.
@@ -564,8 +572,10 @@ impl<M: CostModel> KLp<M> {
 
     /// Lines 18–32: bound both children of one candidate split, or `None`
     /// when either side is pruned against its upper limit.
+    #[allow(clippy::too_many_arguments)]
     fn bound_children(
         &mut self,
+        arena: &mut LookaheadScratch,
         cpos: &SubCollection<'_>,
         cneg: &SubCollection<'_>,
         k: u32,
@@ -594,7 +604,7 @@ impl<M: CostModel> KLp<M> {
                 Some((w1, w2)) => ul_first_w(ul, w1 + w2, wlb0(w2, n2, self.lb0.lb0(n2)))?,
                 None => M::ul_first(ul, n, self.lb0.lb0(n2))?,
             };
-            match self.klp(cpos, k - 1, ul_pos, excluded, depth + 1) {
+            match self.klp(arena, cpos, k - 1, ul_pos, excluded, depth + 1) {
                 Found {
                     entity: Some(_),
                     bound,
@@ -612,7 +622,7 @@ impl<M: CostModel> KLp<M> {
                 Some((w1, w2)) => ul_second_w(ul, w1 + w2, l_pos)?,
                 None => M::ul_second(ul, n, l_pos)?,
             };
-            match self.klp(cneg, k - 1, ul_neg, excluded, depth + 1) {
+            match self.klp(arena, cneg, k - 1, ul_neg, excluded, depth + 1) {
                 Found {
                     entity: Some(_),
                     bound,
@@ -754,7 +764,6 @@ impl<M: CostModel> SelectionStrategy for KLp<M> {
 /// memoization. Runtime is `O(mᵏ·n)`; use only on small inputs.
 pub struct GainK<M: CostModel> {
     k: u32,
-    scratch: LookaheadScratch,
     _metric: std::marker::PhantomData<M>,
 }
 
@@ -764,7 +773,6 @@ impl<M: CostModel> GainK<M> {
         assert!(k >= 1);
         Self {
             k,
-            scratch: LookaheadScratch::new(),
             _metric: std::marker::PhantomData,
         }
     }
@@ -772,21 +780,26 @@ impl<M: CostModel> GainK<M> {
     /// The exact `LB_k` minimum over all entities (for equivalence tests
     /// against [`KLp`]).
     pub fn bound(&mut self, view: &SubCollection<'_>) -> Option<(EntityId, Cost)> {
-        let r = self.rec(view, self.k, 0);
+        let r = LookaheadScratch::with_thread(|arena| Self::rec(arena, view, self.k, 0));
         r.0.map(|e| (e, r.1))
     }
 
-    fn rec(&mut self, view: &SubCollection<'_>, k: u32, depth: usize) -> (Option<EntityId>, Cost) {
+    fn rec(
+        arena: &mut LookaheadScratch,
+        view: &SubCollection<'_>,
+        k: u32,
+        depth: usize,
+    ) -> (Option<EntityId>, Cost) {
         let n = view.len() as u64;
         if n <= 1 {
             return (None, 0);
         }
         // Same arena reuse as KLp, but no memo, no dedup, no early exit —
         // the baseline must evaluate every candidate in full.
-        let mut level = self.scratch.take_level(depth);
+        let mut level = arena.take_level(depth);
         if k <= 1 {
             // Fingerprint-free base case, same argmin key as KLp's.
-            view.informative_into(&mut self.scratch.counts, &mut level.ecounts);
+            view.informative_into(&mut level.ecounts);
             let result = level
                 .ecounts
                 .iter()
@@ -797,10 +810,10 @@ impl<M: CostModel> GainK<M> {
                 .min()
                 .map(|(score, _, e)| (Some(e), score))
                 .unwrap_or((None, 0));
-            self.scratch.put_level(depth, level);
+            arena.put_level(depth, level);
             return result;
         }
-        view.informative_with_fp(&mut self.scratch.counts, &mut level.stats);
+        view.informative_with_fp(&mut level.stats);
         for s in &level.stats {
             let n1 = s.count as u64;
             level.cand.push(Candidate {
@@ -828,12 +841,12 @@ impl<M: CostModel> GainK<M> {
             let l_pos = if c.n1 == 1 {
                 0
             } else {
-                self.rec(&cpos, k - 1, depth + 1).1
+                Self::rec(arena, &cpos, k - 1, depth + 1).1
             };
             let l_neg = if n2 == 1 {
                 0
             } else {
-                self.rec(&cneg, k - 1, depth + 1).1
+                Self::rec(arena, &cneg, k - 1, depth + 1).1
             };
             level.yes = cpos.into_storage();
             level.no = cneg.into_storage();
@@ -843,8 +856,54 @@ impl<M: CostModel> GainK<M> {
                 best = Some(c.entity);
             }
         }
-        self.scratch.put_level(depth, level);
+        arena.put_level(depth, level);
         (best, best_cost)
+    }
+
+    /// The "don't know" path of [`SelectionStrategy::select_excluding`]:
+    /// exclusions are rare, so it filters by re-ranking every remaining
+    /// candidate on its full `k`-step bound.
+    fn select_excluding_in(
+        arena: &mut LookaheadScratch,
+        view: &SubCollection<'_>,
+        k: u32,
+        excluded: &FxHashSet<EntityId>,
+    ) -> Option<EntityId> {
+        let mut level = arena.take_level(0);
+        view.informative_with_fp(&mut level.stats);
+        level.stats.retain(|s| !excluded.contains(&s.entity));
+        if level.stats.is_empty() {
+            arena.put_level(0, level);
+            return None;
+        }
+        let n = view.len() as u64;
+        let mut best: Option<(Cost, u64, EntityId)> = None;
+        for i in 0..level.stats.len() {
+            let s = level.stats[i];
+            let e = s.entity;
+            let (cpos, cneg) =
+                view.partition_into(e, mem::take(&mut level.yes), mem::take(&mut level.no));
+            let (n1, n2) = (cpos.len() as u64, cneg.len() as u64);
+            let l_pos = if n1 <= 1 {
+                0
+            } else {
+                Self::rec(arena, &cpos, k - 1, 1).1
+            };
+            let l_neg = if n2 <= 1 {
+                0
+            } else {
+                Self::rec(arena, &cneg, k - 1, 1).1
+            };
+            level.yes = cpos.into_storage();
+            level.no = cneg.into_storage();
+            let l = M::combine(n, l_pos, l_neg);
+            let key = (l, imbalance(n, n1), e);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        arena.put_level(0, level);
+        best.map(|(_, _, e)| e)
     }
 }
 
@@ -868,45 +927,13 @@ impl<M: CostModel> SelectionStrategy for GainK<M> {
         if view.len() < 2 {
             return None;
         }
-        if excluded.is_empty() {
-            return self.rec(view, self.k, 0).0;
-        }
-        // Exclusions are rare (the "don't know" path); filter by re-ranking.
-        let mut level = self.scratch.take_level(0);
-        view.informative_with_fp(&mut self.scratch.counts, &mut level.stats);
-        level.stats.retain(|s| !excluded.contains(&s.entity));
-        if level.stats.is_empty() {
-            self.scratch.put_level(0, level);
-            return None;
-        }
-        let n = view.len() as u64;
-        let mut best: Option<(Cost, u64, EntityId)> = None;
-        for i in 0..level.stats.len() {
-            let s = level.stats[i];
-            let e = s.entity;
-            let (cpos, cneg) =
-                view.partition_into(e, mem::take(&mut level.yes), mem::take(&mut level.no));
-            let (n1, n2) = (cpos.len() as u64, cneg.len() as u64);
-            let l_pos = if n1 <= 1 {
-                0
-            } else {
-                self.rec(&cpos, self.k - 1, 1).1
-            };
-            let l_neg = if n2 <= 1 {
-                0
-            } else {
-                self.rec(&cneg, self.k - 1, 1).1
-            };
-            level.yes = cpos.into_storage();
-            level.no = cneg.into_storage();
-            let l = M::combine(n, l_pos, l_neg);
-            let key = (l, imbalance(n, n1), e);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
+        let k = self.k;
+        LookaheadScratch::with_thread(|arena| {
+            if excluded.is_empty() {
+                return Self::rec(arena, view, k, 0).0;
             }
-        }
-        self.scratch.put_level(0, level);
-        best.map(|(_, _, e)| e)
+            Self::select_excluding_in(arena, view, k, excluded)
+        })
     }
 }
 
@@ -1177,8 +1204,7 @@ mod tests {
         let top = warm.bound(&view).unwrap();
         assert_eq!(top.1, 4);
         assert!(warm.cache_len() > 0);
-        let mut scratch = crate::subcollection::CountScratch::new();
-        for ec in view.informative_entities(&mut scratch) {
+        for ec in view.informative_entities() {
             let (yes, no) = view.partition(ec.entity);
             for side in [yes, no] {
                 if side.len() < 2 {
@@ -1199,9 +1225,8 @@ mod tests {
     fn ranked_prefix_matches_full_sort() {
         let c = pseudo_random_collection(60, 32, 5);
         let v = c.full_view();
-        let mut scratch = crate::subcollection::CountScratch::new();
         let mut stats = Vec::new();
-        v.informative_with_fp(&mut scratch, &mut stats);
+        v.informative_with_fp(&mut stats);
         let n = v.len() as u64;
         let mut cand: Vec<Candidate> = stats
             .iter()

@@ -12,9 +12,9 @@
 //!   are deduplicated using membership fingerprints from the counting pass —
 //!   before the partition is materialized — and candidate partitions are
 //!   bounded with `LB₀` before recursing;
-//! * all recursion state (candidate lists, yes/no id buffers) lives in a
-//!   depth-indexed [`LookaheadScratch`] arena, so steady-state search
-//!   performs no heap allocation.
+//! * all recursion state (candidate lists, yes/no id buffers) lives in the
+//!   depth-indexed lookahead arena each search borrows from its thread, as
+//!   k-LP's does, so steady-state search performs no heap allocation.
 
 use crate::cost::{imbalance, Cost, CostModel, Lb0Table, UNBOUNDED};
 use crate::entity::EntityId;
@@ -34,7 +34,6 @@ type MemoKey = (Fingerprint, u32);
 pub struct OptimalSolver<M: CostModel> {
     memo: FxHashMap<MemoKey, (Cost, Option<EntityId>)>,
     memo_token: u64,
-    scratch: LookaheadScratch,
     lb0: Lb0Table<M>,
     max_sets: usize,
     _metric: std::marker::PhantomData<M>,
@@ -57,7 +56,6 @@ impl<M: CostModel> OptimalSolver<M> {
         Self {
             memo: FxHashMap::default(),
             memo_token: 0,
-            scratch: LookaheadScratch::new(),
             lb0: Lb0Table::new(),
             max_sets,
             _metric: std::marker::PhantomData,
@@ -87,14 +85,26 @@ impl<M: CostModel> OptimalSolver<M> {
             )));
         }
         self.prepare_for(view);
-        Ok(self.solve(view, UNBOUNDED, 0))
+        Ok(self.solve_top(view))
+    }
+
+    /// [`Self::solve`] at the root with no limit, in the thread's
+    /// lookahead arena.
+    fn solve_top(&mut self, view: &SubCollection<'_>) -> Cost {
+        LookaheadScratch::with_thread(|arena| self.solve(arena, view, UNBOUNDED, 0))
     }
 
     /// Memoized branch-and-bound. Returns the exact optimum of the
     /// subproblem (the `limit` only prunes work, never changes the value
     /// when the true optimum is below it; when the optimum is `≥ limit` the
     /// returned value is some bound `≥ limit`, which the caller discards).
-    fn solve(&mut self, view: &SubCollection<'_>, limit: Cost, depth: usize) -> Cost {
+    fn solve(
+        &mut self,
+        arena: &mut LookaheadScratch,
+        view: &SubCollection<'_>,
+        limit: Cost,
+        depth: usize,
+    ) -> Cost {
         let n = view.len() as u64;
         if n <= 1 {
             return 0;
@@ -104,7 +114,7 @@ impl<M: CostModel> OptimalSolver<M> {
         if let Some(&(cost, _)) = self.memo.get(&key) {
             return cost;
         }
-        let (cost, entity) = self.search(view, limit, depth);
+        let (cost, entity) = self.search(arena, view, limit, depth);
         if entity.is_some() {
             // Only exact results are memoized; limit-truncated searches are
             // not, since their value depends on the limit.
@@ -115,13 +125,14 @@ impl<M: CostModel> OptimalSolver<M> {
 
     fn search(
         &mut self,
+        arena: &mut LookaheadScratch,
         view: &SubCollection<'_>,
         limit: Cost,
         depth: usize,
     ) -> (Cost, Option<EntityId>) {
         let n = view.len() as u64;
-        let mut level = self.scratch.take_level(depth);
-        view.informative_with_fp(&mut self.scratch.counts, &mut level.stats);
+        let mut level = arena.take_level(depth);
+        view.informative_with_fp(&mut level.stats);
         for s in &level.stats {
             let n1 = s.count as u64;
             level.cand.push(Candidate {
@@ -165,13 +176,13 @@ impl<M: CostModel> OptimalSolver<M> {
                 mem::take(&mut level.no),
             );
             let total = {
-                let l_yes = self.solve(&yes, l_yes_limit, depth + 1);
+                let l_yes = self.solve(arena, &yes, l_yes_limit, depth + 1);
                 let partial = M::combine(n, l_yes, self.lb0.lb0(n2));
                 if partial >= best {
                     None
                 } else {
                     M::ul_second(best, n, l_yes).map(|l_no_limit| {
-                        let l_no = self.solve(&no, l_no_limit, depth + 1);
+                        let l_no = self.solve(arena, &no, l_no_limit, depth + 1);
                         M::combine(n, l_yes, l_no)
                     })
                 }
@@ -185,7 +196,7 @@ impl<M: CostModel> OptimalSolver<M> {
                 }
             }
         }
-        self.scratch.put_level(depth, level);
+        arena.put_level(depth, level);
         (best, best_entity)
     }
 
@@ -228,7 +239,7 @@ impl<M: CostModel> SelectionStrategy for OptimalStrategy<'_, M> {
         );
         // solve() memoizes (cost, argmin); rerun to ensure presence.
         self.solver.prepare_for(view);
-        let _ = self.solver.solve(view, UNBOUNDED, 0);
+        let _ = self.solver.solve_top(view);
         let key: MemoKey = (view.fingerprint(), view.len() as u32);
         self.solver.memo.get(&key).and_then(|&(_, e)| e)
     }

@@ -14,7 +14,7 @@
 
 use crate::cost::{imbalance, lb1, Cost, CostModel};
 use crate::entity::EntityId;
-use crate::subcollection::{CountScratch, EntityCount, SubCollection, WeightedEntityStats};
+use crate::subcollection::{EntityCount, SubCollection, WeightedEntityStats};
 use crate::weights::WeightTable;
 use setdisc_util::{FxHashSet, Rng};
 use std::sync::Arc;
@@ -187,10 +187,9 @@ pub trait SelectionStrategy {
 /// Collects informative entities of `view` minus `excluded`, id-sorted.
 fn informative_filtered(
     view: &SubCollection<'_>,
-    scratch: &mut CountScratch,
     excluded: &FxHashSet<EntityId>,
 ) -> Vec<EntityCount> {
-    let mut inf = view.informative_entities(scratch);
+    let mut inf = view.informative_entities();
     if !excluded.is_empty() {
         inf.retain(|ec| !excluded.contains(&ec.entity));
     }
@@ -204,7 +203,6 @@ fn informative_filtered(
 /// state.
 fn argmin_by_score<S: Ord + Copy>(
     view: &SubCollection<'_>,
-    scratch: &mut CountScratch,
     buf: &mut Vec<EntityCount>,
     excluded: &FxHashSet<EntityId>,
     mut score: impl FnMut(u64, u64) -> S,
@@ -213,7 +211,7 @@ fn argmin_by_score<S: Ord + Copy>(
     if n < 2 {
         return None;
     }
-    view.informative_into(scratch, buf);
+    view.informative_into(buf);
     buf.iter()
         .filter(|ec| excluded.is_empty() || !excluded.contains(&ec.entity))
         .map(|ec| {
@@ -228,7 +226,6 @@ fn argmin_by_score<S: Ord + Copy>(
 /// (Adler & Heeringa's `(ln n + 1)`-approximation greedy).
 #[derive(Default)]
 pub struct MostEven {
-    scratch: CountScratch,
     buf: Vec<EntityCount>,
 }
 
@@ -249,7 +246,7 @@ impl SelectionStrategy for MostEven {
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
     ) -> Option<EntityId> {
-        argmin_by_score(view, &mut self.scratch, &mut self.buf, excluded, imbalance)
+        argmin_by_score(view, &mut self.buf, excluded, imbalance)
     }
 }
 
@@ -261,7 +258,6 @@ impl SelectionStrategy for MostEven {
 /// deterministic tie-break chain intact.
 #[derive(Default)]
 pub struct InfoGain {
-    scratch: CountScratch,
     buf: Vec<EntityCount>,
 }
 
@@ -296,7 +292,7 @@ impl SelectionStrategy for InfoGain {
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
     ) -> Option<EntityId> {
-        argmin_by_score(view, &mut self.scratch, &mut self.buf, excluded, |n, n1| {
+        argmin_by_score(view, &mut self.buf, excluded, |n, n1| {
             // Minimize the split entropy term; total_cmp-compatible key.
             let n2 = n - n1;
             let xlx = |x: u64| {
@@ -315,7 +311,6 @@ impl SelectionStrategy for InfoGain {
 /// heuristic of Basu Roy et al.
 #[derive(Default)]
 pub struct IndistinguishablePairs {
-    scratch: CountScratch,
     buf: Vec<EntityCount>,
 }
 
@@ -342,7 +337,7 @@ impl SelectionStrategy for IndistinguishablePairs {
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
     ) -> Option<EntityId> {
-        argmin_by_score(view, &mut self.scratch, &mut self.buf, excluded, Self::indg)
+        argmin_by_score(view, &mut self.buf, excluded, Self::indg)
     }
 }
 
@@ -351,7 +346,6 @@ impl SelectionStrategy for IndistinguishablePairs {
 /// prescribes), then by entity id.
 #[derive(Default)]
 pub struct Lb1<M: CostModel> {
-    scratch: CountScratch,
     buf: Vec<EntityCount>,
     _metric: std::marker::PhantomData<M>,
 }
@@ -373,9 +367,7 @@ impl<M: CostModel> SelectionStrategy for Lb1<M> {
         view: &SubCollection<'_>,
         excluded: &FxHashSet<EntityId>,
     ) -> Option<EntityId> {
-        argmin_by_score(view, &mut self.scratch, &mut self.buf, excluded, |n, n1| {
-            lb1::<M>(n, n1)
-        })
+        argmin_by_score(view, &mut self.buf, excluded, |n, n1| lb1::<M>(n, n1))
     }
 }
 
@@ -387,7 +379,6 @@ impl<M: CostModel> SelectionStrategy for Lb1<M> {
 /// [`MostEven`] does — the property suite pins this bit-identity.
 pub struct WeightedMostEven {
     weights: Arc<WeightTable>,
-    scratch: CountScratch,
     buf: Vec<WeightedEntityStats>,
 }
 
@@ -396,7 +387,6 @@ impl WeightedMostEven {
     pub fn new(weights: Arc<WeightTable>) -> Self {
         Self {
             weights,
-            scratch: CountScratch::new(),
             buf: Vec::new(),
         }
     }
@@ -422,7 +412,7 @@ impl SelectionStrategy for WeightedMostEven {
             return None;
         }
         let w = view.total_weight(&self.weights);
-        view.informative_weighted(&mut self.scratch, &mut self.buf, &self.weights);
+        view.informative_weighted(&mut self.buf, &self.weights);
         self.buf
             .iter()
             .filter(|s| excluded.is_empty() || !excluded.contains(&s.entity))
@@ -438,7 +428,6 @@ impl SelectionStrategy for WeightedMostEven {
 /// A uniformly random informative entity — a deliberately weak baseline used
 /// in ablation benches to show how much structure-aware selection buys.
 pub struct RandomInformative {
-    scratch: CountScratch,
     rng: Rng,
 }
 
@@ -446,7 +435,6 @@ impl RandomInformative {
     /// New instance with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            scratch: CountScratch::new(),
             rng: Rng::new(seed),
         }
     }
@@ -465,7 +453,7 @@ impl SelectionStrategy for RandomInformative {
         if view.len() < 2 {
             return None;
         }
-        let inf = informative_filtered(view, &mut self.scratch, excluded);
+        let inf = informative_filtered(view, excluded);
         self.rng.choose(&inf).map(|ec| ec.entity)
     }
 }
@@ -618,8 +606,7 @@ mod tests {
         for c in &collections {
             let v = c.full_view();
             let n = v.len() as u64;
-            let mut scratch = CountScratch::new();
-            let inf = v.informative_entities(&mut scratch);
+            let inf = v.informative_entities();
             let best_imb = inf
                 .iter()
                 .map(|ec| imbalance(n, ec.count as u64))

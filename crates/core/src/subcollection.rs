@@ -26,16 +26,21 @@
 //! Entity counting is the innermost hot loop (it runs at every node of every
 //! lookahead). Two implementations exist and the entry points auto-select
 //! by a cost model (see DESIGN.md §8): the element pass walks every member
-//! of every set in the view into a reusable [`CountScratch`], while the
-//! postings sweep intersects each occurring entity's postings with the
+//! of every set in the view into an entity-indexed counting buffer, while
+//! the postings sweep intersects each occurring entity's postings with the
 //! view's bitmap — popcounts for the counts, member decoding for the
 //! membership fingerprints (the yes-side digest of `partition(entity)`,
 //! computed in the same pass so duplicate-partition candidates can be
-//! dropped without ever partitioning).
+//! dropped without ever partitioning). The counting buffer is private and
+//! lives once per thread: counting is synchronous and never re-entrant, so
+//! every strategy instance, session, and one-off caller on a thread shares
+//! one buffer that grows to the largest universe it has counted and is
+//! never zero-filled again.
 //!
-//! [`LookaheadScratch`] completes the allocation-free recursion story:
-//! depth-indexed reusable candidate/stat/storage buffers that
-//! [`crate::lookahead`] and [`crate::optimal`] thread through their
+//! The lookahead arena (`LookaheadScratch`, also one per thread) completes
+//! the allocation-free recursion story: depth-indexed reusable
+//! candidate/stat/storage buffers that [`crate::lookahead`] and
+//! [`crate::optimal`] borrow for one selection and thread through their
 //! recursion together with [`SubCollection::partition_into`].
 
 use crate::bitset::IdBitmap;
@@ -44,6 +49,7 @@ use crate::cost::Cost;
 use crate::entity::{EntityId, SetId};
 use crate::weights::WeightTable;
 use setdisc_util::{obs, Fingerprint, FxHashSet};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Content digest of one set id (the unit [`SubCollection`] fingerprints
@@ -331,44 +337,53 @@ impl<'c> SubCollection<'c> {
     /// contain it. Appends results to `out` in a deterministic order
     /// (entity-id ascending on the postings sweep, first-touched on the
     /// element pass — callers needing a specific order re-sort by a total
-    /// key); resets `scratch` before returning.
-    pub fn count_entities(&self, scratch: &mut CountScratch, out: &mut Vec<EntityCount>) {
+    /// key).
+    pub fn count_entities(&self, out: &mut Vec<EntityCount>) {
         let _span = obs::span(obs::Site::Count);
+        self.count_impl(out, u32::MAX);
+    }
+
+    /// The count-only pass behind [`Self::count_entities`] and
+    /// [`Self::informative_into`]: appends every entity with a count in
+    /// `1..below`, through whichever kernel the cost model picks.
+    fn count_impl(&self, out: &mut Vec<EntityCount>, below: u32) {
         if self.use_postings(1) {
             let units = self.collection.postings().scan_cost();
             record_kernel_cost(obs::Site::CostModelPostings, units, || {
-                self.count_postings_impl(out, u32::MAX);
+                self.count_postings_impl(out, below);
             });
             return;
         }
         let units = self.total_elements() as u64;
         record_kernel_cost(obs::Site::CostModelElements, units, || {
-            scratch.ensure(self.collection.universe());
-            for id in self.bits.iter() {
-                for e in self.collection.set(id).iter() {
-                    let slot = &mut scratch.counts[e.0 as usize];
-                    if *slot == 0 {
-                        scratch.touched.push(e);
+            with_counts(|scratch| {
+                scratch.begin(self.collection.universe(), false, false);
+                for id in self.bits.iter() {
+                    for e in self.collection.set(id).iter() {
+                        let slot = &mut scratch.counts[e.0 as usize];
+                        if *slot == 0 {
+                            scratch.touched.push(e);
+                        }
+                        *slot += 1;
                     }
-                    *slot += 1;
                 }
-            }
-            out.reserve(scratch.touched.len());
-            for &e in &scratch.touched {
-                out.push(EntityCount {
-                    entity: e,
-                    count: scratch.counts[e.0 as usize],
-                });
-                scratch.counts[e.0 as usize] = 0;
-            }
-            scratch.touched.clear();
+                out.reserve(scratch.touched.len());
+                for &e in &scratch.touched {
+                    let count = scratch.counts[e.0 as usize];
+                    scratch.counts[e.0 as usize] = 0;
+                    if count < below {
+                        out.push(EntityCount { entity: e, count });
+                    }
+                }
+                scratch.touched.clear();
+            });
         });
     }
 
     /// Like [`Self::count_entities`], but also accumulates each entity's
     /// membership [`Fingerprint`] in the same pass. Clears `out` first;
     /// deterministic order as documented on [`Self::count_entities`].
-    pub fn count_entities_with_fp(&self, scratch: &mut CountScratch, out: &mut Vec<EntityStats>) {
+    pub fn count_entities_with_fp(&self, out: &mut Vec<EntityStats>) {
         let _span = obs::span(obs::Site::Count);
         if self.use_postings(2) {
             let units = self.collection.postings().scan_cost();
@@ -378,7 +393,7 @@ impl<'c> SubCollection<'c> {
         } else {
             let units = self.total_elements() as u64;
             record_kernel_cost(obs::Site::CostModelElements, units, || {
-                self.count_with_fp_elements_impl(scratch, out, u32::MAX);
+                self.count_with_fp_elements_impl(out, u32::MAX);
             });
         }
     }
@@ -388,7 +403,7 @@ impl<'c> SubCollection<'c> {
     /// pass. Clears `out` first; deterministic order as documented on
     /// [`Self::count_entities`] — callers that need a specific order
     /// re-sort by a total key.
-    pub fn informative_with_fp(&self, scratch: &mut CountScratch, out: &mut Vec<EntityStats>) {
+    pub fn informative_with_fp(&self, out: &mut Vec<EntityStats>) {
         let _span = obs::span(obs::Site::Count);
         let below = self.len;
         if self.use_postings(2) {
@@ -399,22 +414,19 @@ impl<'c> SubCollection<'c> {
         } else {
             let units = self.total_elements() as u64;
             record_kernel_cost(obs::Site::CostModelElements, units, || {
-                self.count_with_fp_elements_impl(scratch, out, below);
+                self.count_with_fp_elements_impl(out, below);
             });
         }
     }
 
     /// The element-pass reference implementation of
     /// [`Self::count_entities_with_fp`]: walks every member of every set in
-    /// the view, accumulating counts and digests in entity-indexed scratch.
-    /// Results in first-touched order. Public so property tests and benches
-    /// can pin the postings sweep against it.
-    pub fn count_entities_with_fp_elements(
-        &self,
-        scratch: &mut CountScratch,
-        out: &mut Vec<EntityStats>,
-    ) {
-        self.count_with_fp_elements_impl(scratch, out, u32::MAX);
+    /// the view, accumulating counts and digests in the thread's
+    /// entity-indexed counting buffer. Results in first-touched order.
+    /// Public so property tests and benches can pin the postings sweep
+    /// against it.
+    pub fn count_entities_with_fp_elements(&self, out: &mut Vec<EntityStats>) {
+        self.count_with_fp_elements_impl(out, u32::MAX);
     }
 
     /// The postings-sweep implementation of
@@ -453,40 +465,37 @@ impl<'c> SubCollection<'c> {
         }
     }
 
-    fn count_with_fp_elements_impl(
-        &self,
-        scratch: &mut CountScratch,
-        out: &mut Vec<EntityStats>,
-        below: u32,
-    ) {
+    fn count_with_fp_elements_impl(&self, out: &mut Vec<EntityStats>, below: u32) {
         out.clear();
-        scratch.ensure(self.collection.universe());
-        for id in self.bits.iter() {
-            let h = self.collection.set_fp(id);
-            for e in self.collection.set(id).iter() {
-                let slot = &mut scratch.counts[e.0 as usize];
-                if *slot == 0 {
-                    scratch.touched.push(e);
-                    scratch.fps[e.0 as usize] = h;
-                } else {
-                    scratch.fps[e.0 as usize] += h;
+        with_counts(|scratch| {
+            scratch.begin(self.collection.universe(), true, false);
+            for id in self.bits.iter() {
+                let h = self.collection.set_fp(id);
+                for e in self.collection.set(id).iter() {
+                    let slot = &mut scratch.counts[e.0 as usize];
+                    if *slot == 0 {
+                        scratch.touched.push(e);
+                        scratch.fps[e.0 as usize] = h;
+                    } else {
+                        scratch.fps[e.0 as usize] += h;
+                    }
+                    *slot += 1;
                 }
-                *slot += 1;
             }
-        }
-        out.reserve(scratch.touched.len());
-        for &e in &scratch.touched {
-            let count = scratch.counts[e.0 as usize];
-            scratch.counts[e.0 as usize] = 0;
-            if count < below {
-                out.push(EntityStats {
-                    entity: e,
-                    count,
-                    fp: scratch.fps[e.0 as usize],
-                });
+            out.reserve(scratch.touched.len());
+            for &e in &scratch.touched {
+                let count = scratch.counts[e.0 as usize];
+                scratch.counts[e.0 as usize] = 0;
+                if count < below {
+                    out.push(EntityStats {
+                        entity: e,
+                        count,
+                        fp: scratch.fps[e.0 as usize],
+                    });
+                }
             }
-        }
-        scratch.touched.clear();
+            scratch.touched.clear();
+        });
     }
 
     fn count_with_fp_postings_impl(&self, out: &mut Vec<EntityStats>, below: u32) {
@@ -587,9 +596,9 @@ impl<'c> SubCollection<'c> {
 
     /// Informative entities: present in at least one member set but not in
     /// all (§3). Sorted by entity id for determinism.
-    pub fn informative_entities(&self, scratch: &mut CountScratch) -> Vec<EntityCount> {
+    pub fn informative_entities(&self) -> Vec<EntityCount> {
         let mut out = Vec::new();
-        self.informative_into(scratch, &mut out);
+        self.informative_into(&mut out);
         out.sort_unstable_by_key(|ec| ec.entity);
         out
     }
@@ -598,24 +607,34 @@ impl<'c> SubCollection<'c> {
     /// deterministic order documented on [`Self::count_entities`] — the
     /// allocation-free variant of [`Self::informative_entities`] for
     /// argmin-style callers whose final ranking key is total anyway.
-    pub fn informative_into(&self, scratch: &mut CountScratch, out: &mut Vec<EntityCount>) {
+    pub fn informative_into(&self, out: &mut Vec<EntityCount>) {
+        out.clear();
+        self.count_impl(out, self.len);
+    }
+
+    /// Informative entities with counts, membership digests, **and** prior
+    /// mass, in one element pass (clears `out` first; first-touched order —
+    /// every weighted ranking key is total, so consumers are
+    /// order-independent). Weighted selection always uses the element pass:
+    /// the postings sweep has no per-set weight hook, and with a total key
+    /// the two orders select identically anyway.
+    pub fn informative_weighted(&self, out: &mut Vec<WeightedEntityStats>, weights: &WeightTable) {
         out.clear();
         let n = self.len;
-        if self.use_postings(1) {
-            let units = self.collection.postings().scan_cost();
-            record_kernel_cost(obs::Site::CostModelPostings, units, || {
-                self.count_postings_impl(out, n);
-            });
-            return;
-        }
-        let units = self.total_elements() as u64;
-        record_kernel_cost(obs::Site::CostModelElements, units, || {
-            scratch.ensure(self.collection.universe());
+        with_counts(|scratch| {
+            scratch.begin(self.collection.universe(), true, true);
             for id in self.bits.iter() {
+                let h = self.collection.set_fp(id);
+                let w = weights.weight(id);
                 for e in self.collection.set(id).iter() {
                     let slot = &mut scratch.counts[e.0 as usize];
                     if *slot == 0 {
                         scratch.touched.push(e);
+                        scratch.fps[e.0 as usize] = h;
+                        scratch.wsums[e.0 as usize] = w;
+                    } else {
+                        scratch.fps[e.0 as usize] += h;
+                        scratch.wsums[e.0 as usize] += w;
                     }
                     *slot += 1;
                 }
@@ -625,58 +644,16 @@ impl<'c> SubCollection<'c> {
                 let count = scratch.counts[e.0 as usize];
                 scratch.counts[e.0 as usize] = 0;
                 if count < n {
-                    out.push(EntityCount { entity: e, count });
+                    out.push(WeightedEntityStats {
+                        entity: e,
+                        count,
+                        fp: scratch.fps[e.0 as usize],
+                        wsum: scratch.wsums[e.0 as usize],
+                    });
                 }
             }
             scratch.touched.clear();
         });
-    }
-
-    /// Informative entities with counts, membership digests, **and** prior
-    /// mass, in one element pass (clears `out` first; first-touched order —
-    /// every weighted ranking key is total, so consumers are
-    /// order-independent). Weighted selection always uses the element pass:
-    /// the postings sweep has no per-set weight hook, and with a total key
-    /// the two orders select identically anyway.
-    pub fn informative_weighted(
-        &self,
-        scratch: &mut CountScratch,
-        out: &mut Vec<WeightedEntityStats>,
-        weights: &WeightTable,
-    ) {
-        out.clear();
-        let n = self.len;
-        scratch.ensure(self.collection.universe());
-        for id in self.bits.iter() {
-            let h = self.collection.set_fp(id);
-            let w = weights.weight(id);
-            for e in self.collection.set(id).iter() {
-                let slot = &mut scratch.counts[e.0 as usize];
-                if *slot == 0 {
-                    scratch.touched.push(e);
-                    scratch.fps[e.0 as usize] = h;
-                    scratch.wsums[e.0 as usize] = w;
-                } else {
-                    scratch.fps[e.0 as usize] += h;
-                    scratch.wsums[e.0 as usize] += w;
-                }
-                *slot += 1;
-            }
-        }
-        out.reserve(scratch.touched.len());
-        for &e in &scratch.touched {
-            let count = scratch.counts[e.0 as usize];
-            scratch.counts[e.0 as usize] = 0;
-            if count < n {
-                out.push(WeightedEntityStats {
-                    entity: e,
-                    count,
-                    fp: scratch.fps[e.0 as usize],
-                    wsum: scratch.wsums[e.0 as usize],
-                });
-            }
-        }
-        scratch.touched.clear();
     }
 
     /// Summed prior weight of the view's member sets (`W(C)`), without
@@ -831,11 +808,12 @@ impl std::fmt::Debug for SubCollection<'_> {
     }
 }
 
-/// Reusable counting buffer: entity-indexed counters (plus membership
-/// fingerprint accumulators) and a touched list so reset is proportional to
-/// the entities seen, not the universe.
+/// The counting buffer of the element pass: entity-indexed counters (plus
+/// membership-fingerprint and prior-mass accumulators) and a touched list,
+/// so a reset costs the entities seen, not the universe. One lives per
+/// thread (see `with_counts`).
 #[derive(Default)]
-pub struct CountScratch {
+struct CountScratch {
     counts: Vec<u32>,
     fps: Vec<Fingerprint>,
     wsums: Vec<u64>,
@@ -843,25 +821,70 @@ pub struct CountScratch {
 }
 
 impl CountScratch {
-    /// Fresh scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+    const fn new() -> Self {
+        Self {
+            counts: Vec::new(),
+            fps: Vec::new(),
+            wsums: Vec::new(),
+            touched: Vec::new(),
+        }
     }
 
-    fn ensure(&mut self, universe: u32) {
-        if self.counts.len() < universe as usize {
-            self.counts.resize(universe as usize, 0);
-            self.fps.resize(universe as usize, Fingerprint::ZERO);
-            self.wsums.resize(universe as usize, 0);
+    /// Readies the buffer for one pass over a collection of `universe`
+    /// entities: zeroes any count still on the touched list, then grows
+    /// the count array, and the fingerprint (`fps`) and mass (`wsums`)
+    /// arrays only for passes that write them, so a count-only pass never
+    /// pays for the wider lanes. Those two need no clearing, as a pass
+    /// overwrites an entity's slot on first touch.
+    ///
+    /// A finished pass leaves the touched list empty and an unwound one
+    /// drops its buffer, so the zeroing loop finds nothing to do; yet with
+    /// it in place the counting loops compile to faster code (the
+    /// `count_entities_copyadd_n2000` kernel's fastest runs read 21 µs with
+    /// it and 28 µs without, over ten alternating runs each).
+    fn begin(&mut self, universe: u32, fps: bool, wsums: bool) {
+        for &e in &self.touched {
+            self.counts[e.0 as usize] = 0;
         }
-        debug_assert!(self.touched.is_empty(), "scratch not reset");
+        self.touched.clear();
+        let universe = universe as usize;
+        if self.counts.len() < universe {
+            self.counts.resize(universe, 0);
+        }
+        if fps && self.fps.len() < universe {
+            self.fps.resize(universe, Fingerprint::ZERO);
+        }
+        if wsums && self.wsums.len() < universe {
+            self.wsums.resize(universe, 0);
+        }
     }
+}
+
+thread_local! {
+    static COUNTS: Cell<CountScratch> = const { Cell::new(CountScratch::new()) };
+    static ARENA: Cell<LookaheadScratch> = const { Cell::new(LookaheadScratch::new()) };
+}
+
+/// Runs one element pass with this thread's counting buffer, moved out of
+/// the thread's slot for the pass and back after it. Moved out, the
+/// counting loop runs as fast as it did with a buffer per caller; borrowed
+/// in place (a `RefCell`, or a guard that puts it back on unwind) it
+/// measured about 20% slower. A pass calls out to nothing that counts, so
+/// passes never nest and none finds the slot already emptied.
+/// A pass that unwinds drops its buffer with it: the slot is left empty,
+/// not holding counts a later pass could read, and the thread's next pass
+/// grows a fresh buffer.
+fn with_counts<R>(pass: impl FnOnce(&mut CountScratch) -> R) -> R {
+    let mut scratch = COUNTS.take();
+    let out = pass(&mut scratch);
+    COUNTS.set(scratch);
+    out
 }
 
 /// One ranked selection candidate (an informative entity plus the sort keys
 /// and membership digest the lookahead loops need).
 #[derive(Copy, Clone, Debug)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// Primary ranking score (`LB₁` for k-LP, 0 for the optimal solver).
     pub score: Cost,
     /// Partition imbalance tie-break.
@@ -879,7 +902,7 @@ pub struct Candidate {
 
 /// Reusable buffers for one recursion level of a lookahead search.
 #[derive(Default)]
-pub struct LevelScratch {
+pub(crate) struct LevelScratch {
     /// Counting-pass output (informative entities with fingerprints).
     pub stats: Vec<EntityStats>,
     /// Fingerprint-free counting output for the `k ≤ 1` base case, which
@@ -899,23 +922,36 @@ pub struct LevelScratch {
     pub seen: FxHashSet<(Fingerprint, u64)>,
 }
 
-/// Depth-indexed arena of [`LevelScratch`] buffers plus the shared counting
-/// scratch — the state that makes the k-LP / gain-k / optimal recursions
-/// allocation-free in steady state. Levels are taken by value for the
-/// duration of one recursion frame (sibling frames at the same depth run
-/// sequentially, so one buffer set per depth suffices) and put back before
-/// the frame returns.
+/// Depth-indexed arena of [`LevelScratch`] buffers — the state that makes
+/// the k-LP / gain-k / optimal recursions allocation-free in steady state.
+/// Levels are taken by value for the duration of one recursion frame
+/// (sibling frames at the same depth run sequentially, so one buffer set
+/// per depth suffices) and put back before the frame returns.
+///
+/// One arena lives per thread and a selection borrows it for its duration
+/// with [`LookaheadScratch::with_thread`]: selection is synchronous and
+/// never re-entrant, so strategy instances need not own one, and the
+/// buffers outlive every session that used them.
 #[derive(Default)]
-pub struct LookaheadScratch {
-    /// Shared counting buffers (entity-indexed, depth-independent).
-    pub counts: CountScratch,
+pub(crate) struct LookaheadScratch {
     levels: Vec<LevelScratch>,
 }
 
 impl LookaheadScratch {
-    /// Fresh arena; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+    const fn new() -> Self {
+        Self { levels: Vec::new() }
+    }
+
+    /// Runs `search` with this thread's arena. The arena is moved out for
+    /// the call and back after it, so a nested borrow (none happens) would
+    /// get an empty arena instead of aliasing this one, and an arena whose
+    /// search unwinds is dropped with it rather than left for the next
+    /// selection on the thread.
+    pub fn with_thread<R>(search: impl FnOnce(&mut LookaheadScratch) -> R) -> R {
+        let mut arena = ARENA.take();
+        let out = search(&mut arena);
+        ARENA.set(arena);
+        out
     }
 
     /// Takes the buffer set for recursion depth `depth` (growing the arena
@@ -974,9 +1010,8 @@ mod tests {
     fn counts_match_inverted_index() {
         let c = figure1();
         let v = c.full_view();
-        let mut scratch = CountScratch::new();
         let mut counts = Vec::new();
-        v.count_entities(&mut scratch, &mut counts);
+        v.count_entities(&mut counts);
         for ec in &counts {
             assert_eq!(
                 ec.count as usize,
@@ -985,18 +1020,137 @@ mod tests {
                 ec.entity
             );
         }
-        // Scratch must be fully reset for reuse.
+        // The thread's counting buffer must be fully reset for reuse.
         let mut counts2 = Vec::new();
-        v.count_entities(&mut scratch, &mut counts2);
+        v.count_entities(&mut counts2);
         assert_eq!(counts, counts2);
+    }
+
+    /// `(entity, count)` of every entity with nonzero count in `view`,
+    /// from the inverted index alone.
+    fn index_counts(view: &SubCollection<'_>) -> Vec<(EntityId, u32)> {
+        let c = view.collection();
+        let mut want: Vec<(EntityId, u32)> = (0..c.universe())
+            .map(EntityId)
+            .map(|e| {
+                let n = c
+                    .sets_containing(e)
+                    .iter()
+                    .filter(|&&id| view.bitmap().contains(id));
+                (e, n.count() as u32)
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        want.sort_unstable();
+        want
+    }
+
+    /// The lengths of this thread's counting lanes and touched list.
+    fn lanes() -> (usize, usize, usize, usize) {
+        let s = COUNTS.take();
+        let lanes = (s.counts.len(), s.fps.len(), s.wsums.len(), s.touched.len());
+        COUNTS.set(s);
+        lanes
+    }
+
+    /// Runs a weighted pass under a prior too short for `view`: it panics at
+    /// the first set the table does not cover, after counting the sets
+    /// before it — touched entries with nonzero counts. The pass's buffer
+    /// unwinds with it, so the thread's slot must be left empty: nothing a
+    /// later pass could read.
+    fn unwind_a_pass(view: &SubCollection<'_>) {
+        view.informative_weighted(&mut Vec::new(), &WeightTable::uniform(2));
+        assert_ne!(lanes(), (0, 0, 0, 0), "the thread holds a grown buffer");
+        let short = WeightTable::uniform(1);
+        let mut out = Vec::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            view.informative_weighted(&mut out, &short)
+        }));
+        assert!(unwound.is_err(), "the short prior must panic mid-pass");
+        assert_eq!(lanes(), (0, 0, 0, 0), "the unwound pass's counts are gone");
+    }
+
+    #[test]
+    fn a_pass_after_an_unwound_pass_counts_exactly() {
+        let c = figure1();
+        let v = SubCollection::from_ids(&c, vec![SetId(0), SetId(1)]);
+        let want = index_counts(&v);
+        // The view is small enough that every pass kind takes the element
+        // pass, which is the one that reads the thread's buffer.
+        let preview = v.dispatch_preview(1);
+        assert!(!preview.use_postings, "{preview:?}");
+
+        unwind_a_pass(&v);
+        let mut counts = Vec::new();
+        v.count_entities(&mut counts);
+        let mut got: Vec<_> = counts.iter().map(|ec| (ec.entity, ec.count)).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "count-only pass");
+
+        unwind_a_pass(&v);
+        let mut stats = Vec::new();
+        v.count_entities_with_fp_elements(&mut stats);
+        stats.sort_unstable_by_key(|s| s.entity);
+        let mut swept = Vec::new();
+        v.count_entities_with_fp_postings(&mut swept);
+        assert_eq!(stats, swept, "fingerprint pass");
+
+        unwind_a_pass(&v);
+        let mut weighted = Vec::new();
+        v.informative_weighted(&mut weighted, &WeightTable::uniform(7));
+        let mut got: Vec<_> = weighted.iter().map(|s| (s.entity, s.count)).collect();
+        got.sort_unstable();
+        let informative: Vec<_> = want.iter().copied().filter(|&(_, n)| n < 2).collect();
+        assert_eq!(got, informative, "weighted pass");
+        assert!(weighted.iter().all(|s| s.wsum == u64::from(s.count)));
+    }
+
+    #[test]
+    fn a_pass_grows_only_the_lanes_it_writes() {
+        // On a fresh thread, so the buffer starts empty.
+        std::thread::spawn(|| {
+            let c = figure1();
+            let v = SubCollection::from_ids(&c, vec![SetId(0), SetId(1)]);
+            assert!(!v.dispatch_preview(1).use_postings);
+            let u = c.universe() as usize;
+            assert_eq!(lanes(), (0, 0, 0, 0));
+            v.informative_into(&mut Vec::new());
+            assert_eq!(lanes(), (u, 0, 0, 0), "count-only pass");
+            v.informative_with_fp(&mut Vec::new());
+            assert_eq!(lanes(), (u, u, 0, 0), "fingerprint pass");
+            v.informative_weighted(&mut Vec::new(), &WeightTable::uniform(7));
+            assert_eq!(lanes(), (u, u, u, 0), "weighted pass");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn counting_buffer_is_shared_across_universes() {
+        // Small → large → small on one thread: the buffer keeps the large
+        // universe's length, and every pass still counts exactly.
+        let small = figure1();
+        let large = Collection::from_raw_sets(
+            (0..40u32)
+                .map(|i| vec![i, i + 1, 100 + i % 7, 500 + i % 3])
+                .collect(),
+        )
+        .unwrap();
+        for c in [&small, &large, &small] {
+            let v = c.full_view();
+            let mut stats = Vec::new();
+            v.count_entities_with_fp_elements(&mut stats);
+            let mut got: Vec<_> = stats.iter().map(|s| (s.entity, s.count)).collect();
+            got.sort_unstable();
+            assert_eq!(got, index_counts(&v), "{} sets", c.len());
+        }
     }
 
     #[test]
     fn informative_excludes_universal_entity() {
         let c = figure1();
         let v = c.full_view();
-        let mut scratch = CountScratch::new();
-        let inf = v.informative_entities(&mut scratch);
+        let inf = v.informative_entities();
         // Entity a=0 is in all seven sets → uninformative (Example 3.1).
         assert!(inf.iter().all(|ec| ec.entity != EntityId(0)));
         // b..k are all informative: 10 of them.
@@ -1066,14 +1220,13 @@ mod tests {
     #[test]
     fn counting_kernels_agree() {
         let c = figure1();
-        let mut scratch = CountScratch::new();
         let views = [
             c.full_view(),
             SubCollection::from_ids(&c, vec![SetId(0), SetId(2), SetId(5)]),
         ];
         for v in &views {
             let mut elements = Vec::new();
-            v.count_entities_with_fp_elements(&mut scratch, &mut elements);
+            v.count_entities_with_fp_elements(&mut elements);
             elements.sort_unstable_by_key(|s| s.entity);
             let mut postings = Vec::new();
             v.count_entities_with_fp_postings(&mut postings);
@@ -1084,7 +1237,6 @@ mod tests {
     #[test]
     fn weighted_counts_agree_with_unweighted_under_uniform() {
         let c = figure1();
-        let mut scratch = CountScratch::new();
         let weights = WeightTable::uniform(7);
         let views = [
             c.full_view(),
@@ -1092,10 +1244,10 @@ mod tests {
         ];
         for v in &views {
             let mut plain = Vec::new();
-            v.informative_with_fp(&mut scratch, &mut plain);
+            v.informative_with_fp(&mut plain);
             plain.sort_unstable_by_key(|s| s.entity);
             let mut weighted = Vec::new();
-            v.informative_weighted(&mut scratch, &mut weighted, &weights);
+            v.informative_weighted(&mut weighted, &weights);
             weighted.sort_unstable_by_key(|s| s.entity);
             assert_eq!(plain.len(), weighted.len());
             for (p, w) in plain.iter().zip(&weighted) {
@@ -1109,14 +1261,13 @@ mod tests {
     #[test]
     fn weighted_counts_track_skewed_mass() {
         let c = figure1();
-        let mut scratch = CountScratch::new();
         // S2 = {a,d,e} carries weight 10, the rest 1.
         let raw = [1u64, 10, 1, 1, 1, 1, 1];
         let weights = WeightTable::new(&raw).unwrap();
         let v = c.full_view();
         assert_eq!(v.total_weight(&weights), 16);
         let mut out = Vec::new();
-        v.informative_weighted(&mut scratch, &mut out, &weights);
+        v.informative_weighted(&mut out, &weights);
         let e4 = out.iter().find(|s| s.entity == EntityId(4)).unwrap();
         assert_eq!((e4.count, e4.wsum), (1, 10), "e only occurs in S2");
         let d = out.iter().find(|s| s.entity == EntityId(3)).unwrap();
@@ -1152,8 +1303,7 @@ mod tests {
         // (their symmetric difference) — the invariant that guarantees tree
         // construction terminates.
         let c = Collection::from_raw_sets(vec![vec![1, 2], vec![1, 3]]).unwrap();
-        let mut scratch = CountScratch::new();
-        let inf = c.full_view().informative_entities(&mut scratch);
+        let inf = c.full_view().informative_entities();
         assert!(!inf.is_empty());
     }
 
@@ -1188,9 +1338,8 @@ mod tests {
     fn membership_fp_equals_yes_side_fp() {
         let c = figure1();
         let v = c.full_view();
-        let mut scratch = CountScratch::new();
         let mut stats = Vec::new();
-        v.count_entities_with_fp(&mut scratch, &mut stats);
+        v.count_entities_with_fp(&mut stats);
         assert!(!stats.is_empty());
         for s in &stats {
             let (yes, _) = v.partition(s.entity);
@@ -1200,12 +1349,12 @@ mod tests {
         }
         // The informative variant filters exactly the universal entities.
         let mut inf = Vec::new();
-        v.informative_with_fp(&mut scratch, &mut inf);
+        v.informative_with_fp(&mut inf);
         assert_eq!(inf.len(), 10);
         assert!(inf.iter().all(|s| s.entity != EntityId(0)));
         // Buffers are cleared, not appended to, on reuse.
         let before = inf.clone();
-        v.informative_with_fp(&mut scratch, &mut inf);
+        v.informative_with_fp(&mut inf);
         assert_eq!(inf, before);
     }
 
@@ -1215,9 +1364,8 @@ mod tests {
         // covers the subview's member sets.
         let c = figure1();
         let v = SubCollection::from_ids(&c, vec![SetId(0), SetId(3)]);
-        let mut scratch = CountScratch::new();
         let mut stats = Vec::new();
-        v.count_entities_with_fp(&mut scratch, &mut stats);
+        v.count_entities_with_fp(&mut stats);
         let d = stats
             .iter()
             .find(|s| s.entity == EntityId(3))

@@ -50,9 +50,8 @@ pub fn collapse_equivalent_entities(collection: &Collection) -> CollapsedCollect
     // `setdisc_util::hash`). Entities in no set are never touched by the
     // pass and drop out naturally.
     let view = collection.full_view();
-    let mut scratch = crate::subcollection::CountScratch::new();
     let mut stats = Vec::new();
-    view.count_entities_with_fp(&mut scratch, &mut stats);
+    view.count_entities_with_fp(&mut stats);
     let mut class_of: FxHashMap<(setdisc_util::Fingerprint, u32), Vec<EntityId>> =
         FxHashMap::default();
     for s in &stats {

@@ -9,6 +9,11 @@
 //!
 //! `explain_last_agrees_with_the_selection` checks the provenance trace
 //! against the selection it explains on random views.
+//!
+//! `interleaved_selections_equal_fresh_instances` checks that selections
+//! sharing one thread's counting buffer and lookahead arena — two live
+//! instances taking turns, across collections whose universes grow and
+//! shrink — equal those of fresh instances on threads of their own.
 
 use setdisc_core::builder::build_tree;
 use setdisc_core::collection::Collection;
@@ -287,6 +292,74 @@ fn explain_last_agrees_with_the_selection() {
                         excluded,
                     );
                 }
+            }
+        }
+    }
+}
+
+/// k-LP(2, AD) for `c`, under `c`'s skewed prior when `weighted`.
+fn klp_for(c: &Collection, weighted: bool) -> KLp<AvgDepth> {
+    let klp = KLp::<AvgDepth>::new(2);
+    if weighted {
+        klp.with_prior(skewed_prior(c))
+    } else {
+        klp
+    }
+}
+
+/// The full view of `c` and seven distinct subviews of it.
+fn distinct_views(c: &Collection) -> Vec<SubCollection<'_>> {
+    let full = c.full_view();
+    let mut views: Vec<_> = (2..9u32)
+        .map(|m| full.filter(|id| !id.0.is_multiple_of(m)))
+        .collect();
+    views.push(full);
+    views
+}
+
+#[test]
+fn interleaved_selections_equal_fresh_instances() {
+    let small = collection(40, 20, 1);
+    let large = collection(120, 400, 9);
+    assert!(large.universe() > 4 * small.universe());
+    let phases = [&small, &large, &small];
+    let none = FxHashSet::default();
+    for weighted in [false, true] {
+        // Each phase's expected details, from a fresh instance per
+        // selection on a thread of its own, so no buffer state is shared
+        // with the live instances below.
+        let want: Vec<Vec<Option<SelectionDetail>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = phases
+                .iter()
+                .map(|&c| {
+                    let none = &none;
+                    scope.spawn(move || {
+                        distinct_views(c)
+                            .iter()
+                            .map(|v| klp_for(c, weighted).select_with_detail(v, none))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Two live instances take turns on this thread. Unweighted ones
+        // stay alive across the collection changes (their memos reset on
+        // the switch); a prior belongs to one collection, so weighted
+        // instances are made per phase.
+        let mut live: Option<[KLp<AvgDepth>; 2]> = None;
+        for (phase, &c) in phases.iter().enumerate() {
+            if weighted || live.is_none() {
+                live = Some([klp_for(c, weighted), klp_for(c, weighted)]);
+            }
+            let pair = live.as_mut().unwrap();
+            for (i, view) in distinct_views(c).iter().enumerate() {
+                let got = pair[i % 2].select_with_detail(view, &none);
+                assert_eq!(
+                    got, want[phase][i],
+                    "weighted={weighted} phase={phase} view={i}"
+                );
+                assert!(got.is_some());
             }
         }
     }

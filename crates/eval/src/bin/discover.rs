@@ -248,7 +248,13 @@ fn run_precompute(c: &CommonArgs) {
     };
     let out = c.out.as_deref().unwrap_or_else(|| usage());
     let collection = snapshot.collection();
-    let cache = Arc::new(PlanCache::for_collection(collection, c.max_nodes.max(16)));
+    // Each of the cache's shards evicts at its own bound and hash shards
+    // fill unevenly, so the cache gets twice the node budget: every shard
+    // then has about twice the room its expected share of the computed
+    // nodes needs. Spare capacity costs nothing, as shard tables grow only
+    // with the nodes they hold.
+    let capacity = c.max_nodes.saturating_mul(2).max(1024);
+    let cache = Arc::new(PlanCache::for_collection(collection, capacity));
     let budget = PrecomputeBudget {
         max_nodes: c.max_nodes,
         max_depth: c.max_depth,

@@ -13,10 +13,14 @@
 //! the cache once entities are excluded (see the crate docs).
 //!
 //! Eviction is size-bounded and LRU-ish: every access stamps the entry
-//! from a global clock, and an insert that finds the cache at capacity
-//! drops the least-recently-stamped quarter of its target shard in one
-//! sweep — O(shard) once per quarter-shard of churn, amortized O(1), no
-//! per-access list surgery.
+//! from a global clock, and an insert of a new key into a full shard drops
+//! the least-recently-stamped quarter of that shard in one sweep — O(shard)
+//! once per quarter-shard of churn, amortized O(1), no per-access list
+//! surgery. A shard is full at its even share of the bound, or earlier at
+//! the most nodes its share's bucket count holds (see `shard_limit`), so a
+//! shard's table never doubles; the sweep rebuilds the survivors into a
+//! fresh table instead of erasing in place, so no tombstones build up to
+//! force a rehash into a larger one.
 
 use setdisc_core::collection::Collection;
 use setdisc_core::cost::Cost;
@@ -147,9 +151,12 @@ struct Shard {
 
 impl Shard {
     /// Drops the least-recently-stamped entries until at most `keep`
-    /// remain, returning how many were dropped. Stamps are unique
-    /// (global counter), so the cutoff retain removes an exact count.
-    fn evict_to(&mut self, keep: usize) -> u64 {
+    /// (≤ `limit`) remain, returning how many were dropped. Stamps are
+    /// unique (global counter), so the cutoff removes an exact count. The
+    /// survivors move into a fresh table sized for `limit` nodes: erasing
+    /// in place would leave tombstones that count against the table's
+    /// load, so later inserts would rehash it into one twice the size.
+    fn evict_to(&mut self, keep: usize, limit: usize) -> u64 {
         let drop = self.map.len().saturating_sub(keep);
         if drop == 0 {
             return 0;
@@ -158,11 +165,32 @@ impl Shard {
         let (_, cutoff, _) = stamps.select_nth_unstable(drop - 1);
         let cutoff = *cutoff;
         let before = self.map.len();
-        self.map.retain(|_, e| e.stamp > cutoff);
+        let mut kept = FxHashMap::with_capacity_and_hasher(limit, Default::default());
+        kept.extend(self.map.drain().filter(|(_, e)| e.stamp > cutoff));
+        self.map = kept;
         let dropped = before - self.map.len();
         self.bytes -= dropped * NODE_BYTES;
         dropped as u64
     }
+}
+
+/// Most nodes one shard holds under a cache bound of `capacity`: its even
+/// share, but no more than a hash table of `share.next_power_of_two()`
+/// buckets holds at the standard table's 7/8 load (a table of fewer than
+/// 8 buckets holds one less than its bucket count, and the smallest has
+/// 4). Without that cap a share of 16,384 nodes — the default bound's —
+/// fills its 16,384-bucket table at 14,336 and doubles it to 32,768
+/// buckets for the last 2,048 nodes; with it, that shard evicts instead
+/// and its table never grows past the bucket count its share names.
+fn shard_limit(capacity: usize) -> usize {
+    let share = capacity.div_ceil(SHARDS);
+    let buckets = share.next_power_of_two();
+    let fits = if buckets < 8 {
+        buckets.max(4) - 1
+    } else {
+        buckets / 8 * 7
+    };
+    share.min(fits)
 }
 
 /// A concurrent, size-bounded, persistable store of decision-tree nodes
@@ -205,7 +233,9 @@ pub fn collection_identity(collection: &Collection) -> Fingerprint {
 impl PlanCache {
     /// An empty cache pinned to `collection`, bounded to about `capacity`
     /// resident nodes (clamped to ≥ the shard count so every shard can
-    /// hold at least one entry).
+    /// hold at least one entry). Each shard evicts at its own limit (see
+    /// the module docs), so a cache can start evicting below `capacity`;
+    /// a caller that must keep `n` nodes resident asks for headroom.
     pub fn for_collection(collection: &Collection, capacity: usize) -> Self {
         Self::with_identity(
             collection_identity(collection),
@@ -273,7 +303,7 @@ impl PlanCache {
 
     /// Lowers the node bound to `new_cap` (clamped to ≥ the shard count;
     /// never raises it) and evicts least-recently-stamped entries per
-    /// shard until every shard fits its even share of the new bound.
+    /// shard until every shard fits its limit under the new bound.
     /// Returns the number of nodes evicted. This is the degradation
     /// ladder's first rung: plan nodes are derived data — re-learnable
     /// from traffic — so they are the cheapest thing to give back.
@@ -283,15 +313,14 @@ impl PlanCache {
         if new_cap < current {
             self.capacity.store(new_cap, Ordering::Relaxed);
         }
-        let target = self.capacity.load(Ordering::Relaxed);
-        let per_shard = target.div_ceil(SHARDS);
+        let limit = shard_limit(self.capacity.load(Ordering::Relaxed));
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("plan shard poisoned");
-            dropped += shard.evict_to(per_shard);
-            // A governor shrink must actually give spine memory back:
-            // eviction alone retains the table allocation (fine for hot
-            // quarter-evictions, pointless under a byte budget).
+            dropped += shard.evict_to(limit, limit);
+            // A governor shrink must actually give spine memory back: a
+            // shard that evicted nothing keeps the table it grew under
+            // the old bound.
             shard.map.shrink_to_fit();
         }
         if dropped > 0 {
@@ -356,19 +385,21 @@ impl PlanCache {
         shard.map.get(key).map(|e| e.node)
     }
 
-    /// Inserts (or replaces) a node. When the cache is at capacity, the
-    /// least-recently-stamped quarter of the *target* shard is dropped
-    /// first — O(shard) once per quarter-shard of churn, and sustained
-    /// churn visits every shard, so the bound holds globally (with a
-    /// transient overshoot of at most one entry per momentarily empty
-    /// shard, the same soft-admission trade the session table makes).
+    /// Inserts (or replaces) a node. When the *target* shard is full (see
+    /// the module docs), its least-recently-stamped quarter is dropped
+    /// first — O(shard) once per quarter-shard of churn. Every shard holds
+    /// at most its share of the bound, so the bound holds globally up to
+    /// rounding the share up (at most one node per shard).
     pub fn insert(&self, key: PlanKey, node: PlanNode) {
         self.insert_with_origin(key, node, false);
     }
 
     /// [`Self::insert`] marking the node as plan-file-loaded — the warm
     /// boot / precompute-install path, so later hits can report
-    /// [`PlanOrigin::File`].
+    /// [`PlanOrigin::File`]. It never evicts: hash shards fill unevenly,
+    /// and a loaded plan must keep its whole payload (the loader raises
+    /// the bound to the file's node count). A later online insert into a
+    /// shard left over its limit trims it back.
     pub fn insert_loaded(&self, key: PlanKey, node: PlanNode) {
         self.insert_with_origin(key, node, true);
     }
@@ -382,15 +413,13 @@ impl PlanCache {
             return;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let limit = shard_limit(self.capacity());
         let mut shard = self.shard(&key).lock().expect("plan shard poisoned");
-        if self.resident.load(Ordering::Relaxed) >= self.capacity() as u64
-            && !shard.map.is_empty()
-            && !shard.map.contains_key(&key)
-        {
-            // Drop the least-recently-stamped quarter (at least one
-            // entry) — O(shard) once per quarter-shard of churn.
-            let keep = shard.map.len() - (shard.map.len() / 4).max(1);
-            let dropped = shard.evict_to(keep);
+        if !from_file && shard.map.len() >= limit && !shard.map.contains_key(&key) {
+            // Drop the least-recently-stamped quarter of the limit (at
+            // least one entry) — O(shard) once per quarter-shard of churn.
+            let keep = limit - (limit / 4).max(1);
+            let dropped = shard.evict_to(keep, limit);
             self.resident.fetch_sub(dropped, Ordering::Relaxed);
             self.evicted.fetch_add(dropped, Ordering::Relaxed);
         }
@@ -747,6 +776,61 @@ mod tests {
             cache.insert(key(KLP2, Fingerprint::of(i), 7), node(1));
         }
         assert!(cache.peek(&hot).is_some(), "hot entry evicted");
+    }
+
+    #[test]
+    fn shard_limit_is_where_a_shard_table_would_double() {
+        for capacity in [64usize, 1_000, 1 << 12, 16 * 5_000, 1 << 18] {
+            let share = capacity.div_ceil(SHARDS);
+            let limit = shard_limit(capacity);
+            assert!(limit <= share, "capacity {capacity}");
+            let mut map: FxHashMap<PlanKey, Entry> = FxHashMap::default();
+            let entry = |i: u64| Entry {
+                node: node(1),
+                stamp: i,
+                from_file: false,
+            };
+            for i in 0..limit as u64 {
+                map.insert(key(KLP2, Fingerprint::of(i), 7), entry(i));
+            }
+            // Fewer slots than the share's power of two: the table has at
+            // most that many buckets, not twice as many.
+            assert!(
+                map.capacity() < share.next_power_of_two().max(4),
+                "capacity {capacity}: {} slots for a share of {share}",
+                map.capacity()
+            );
+            if limit < share {
+                // The limit is the table's fill point: one more node would
+                // double it.
+                let slots = map.capacity();
+                map.insert(key(KLP2, Fingerprint::of(u64::MAX), 7), entry(0));
+                assert!(map.capacity() > slots, "capacity {capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn churn_past_the_bound_never_doubles_a_shard_table() {
+        // A power-of-two share fills its shard's table at 7/8 of the
+        // share; growing the table for the rest, or letting eviction
+        // tombstones force a rehash, doubles the spine. Sixteen bounds'
+        // worth of churn must leave it within the bound's slot count.
+        use setdisc_util::mem::HeapSize as _;
+        let c = figure1();
+        let capacity = 1 << 12;
+        let cache = PlanCache::for_collection(&c, capacity);
+        for i in 0..16 * capacity as u64 {
+            cache.insert(key(KLP2, Fingerprint::of(i), 7), node(1));
+        }
+        assert!(cache.stats().evicted > 0);
+        assert!(cache.len() * 2 > capacity, "{} resident", cache.len());
+        assert!(
+            cache.heap_bytes() <= capacity * PlanCache::node_bytes(),
+            "{} heap bytes for {} resident, bound {capacity}",
+            cache.heap_bytes(),
+            cache.len()
+        );
     }
 
     #[test]

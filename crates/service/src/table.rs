@@ -12,8 +12,9 @@
 
 use crate::snapshot::{Snapshot, SnapshotHandle, SnapshotLease};
 use crate::strategy::BoxedStrategy;
+use setdisc_core::cost::Cost;
 use setdisc_core::engine::Engine;
-use setdisc_core::entity::EntityId;
+use setdisc_core::entity::{EntityId, SetId};
 use setdisc_util::FxHashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -188,9 +189,8 @@ impl SessionEntry {
             // a long-lived session will fill it, and a fixed figure keeps
             // admission deterministic.
             + TRACE_CAPACITY * std::mem::size_of::<(u64, TraceStep)>()
-            // Engine candidate state scales with the collection; the
-            // constant covers the engine's fixed-size bookkeeping.
-            + snapshot.collection().len() * 8
+            + state_bytes(snapshot.collection().len(), engine.candidate_count())
+            // Fixed-size engine and strategy bookkeeping.
             + 1024;
         Self {
             engine,
@@ -220,6 +220,22 @@ impl SessionEntry {
     pub fn accounted_bytes(&self) -> usize {
         self.bytes
     }
+}
+
+/// Admission estimate of what a session's engine and strategy hold over a
+/// collection of `sets` sets, starting from `candidates` candidates. The
+/// engine keeps three storage buffers (candidates and two split
+/// spares), each a bitmap over the collection's id space plus at most
+/// the candidate ids. k-LP keeps an `LB₀` table over the candidate count
+/// and its memo, charged at one entry per candidate; on the web-tables
+/// corpus a session's memo averages about a quarter of that. Counting
+/// buffers and lookahead arenas are per thread, not per session, so they
+/// are not charged here.
+fn state_bytes(sets: usize, candidates: usize) -> usize {
+    let per_candidate = 3 * std::mem::size_of::<SetId>()
+        + std::mem::size_of::<Cost>()
+        + setdisc_core::lookahead::MEMO_ENTRY_BYTES;
+    3 * sets.div_ceil(64) * std::mem::size_of::<u64>() + candidates * per_candidate
 }
 
 /// Sharded id → session map with a capacity cap and idle eviction.
@@ -337,6 +353,7 @@ mod tests {
     use super::*;
     use crate::snapshot::fixture;
     use crate::strategy::StrategySpec;
+    use setdisc_core::collection::Collection;
 
     fn entry() -> SessionEntry {
         let snap = fixture("figure1").unwrap();
@@ -396,6 +413,30 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(t.evict_idle(Duration::from_millis(1)), 1);
         assert_eq!(t.accounted_bytes(), 0);
+
+        // A large collection: the charge follows the engine's id-space
+        // bitmaps and the session's candidates, not 8 B per set. Over
+        // 100,000 sets a session starting from 104 candidates is charged
+        // tens of KB, where 8 B per set came to 800 KB.
+        let n = 100_000u32;
+        let sets = (0..n).map(|i| vec![i % 967, 1_000 + i]).collect();
+        let snap = Snapshot::from_collection("large", Collection::from_raw_sets(sets).unwrap());
+        let spec = StrategySpec::default();
+        let engine = Engine::new(
+            SnapshotHandle(Arc::clone(&snap)),
+            &[EntityId(0)],
+            spec.build(),
+        );
+        assert_eq!(engine.candidate_count(), 104);
+        let large = SessionEntry::new(engine, snap, "large".into(), spec.label(), 100);
+        let bitmaps = 3 * (n as usize).div_ceil(64) * 8;
+        let charged = large.accounted_bytes() - per;
+        assert!(charged > bitmaps, "{charged} B charged");
+        assert!(
+            large.accounted_bytes() < 100_000,
+            "{} B",
+            large.accounted_bytes()
+        );
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl ClaimCounter {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
         (idx < self.len).then_some(idx)
     }
-
-    /// Number of indices handed out so far (saturated at the length).
-    pub fn claimed(&self) -> usize {
-        self.next.load(Ordering::Relaxed).min(self.len)
-    }
 }
 
 /// Runs `f(worker_index, &mut state)` once per state on its own scoped
@@ -172,7 +167,6 @@ mod tests {
         let mut all: Vec<usize> = states.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..10_000).collect::<Vec<_>>());
-        assert_eq!(counter.claimed(), 10_000);
         assert_eq!(counter.claim(), None);
     }
 

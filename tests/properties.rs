@@ -9,7 +9,7 @@ use interactive_set_discovery::core::optimal::optimal_cost;
 use interactive_set_discovery::core::strategy::{
     IndistinguishablePairs, InfoGain, MostEven, SelectionStrategy,
 };
-use interactive_set_discovery::core::subcollection::{CountScratch, SubStorage};
+use interactive_set_discovery::core::subcollection::SubStorage;
 use interactive_set_discovery::core::Collection;
 use interactive_set_discovery::core::EntityId;
 use proptest::prelude::*;
@@ -96,8 +96,7 @@ proptest! {
     fn greedy_strategies_agree_on_imbalance(c in arb_collection(12, 16)) {
         let view = c.full_view();
         let n = view.len() as u64;
-        let mut scratch = CountScratch::new();
-        let inf = view.informative_entities(&mut scratch);
+        let inf = view.informative_entities();
         prop_assume!(!inf.is_empty());
         let imb_of = |e| {
             let ec = inf.iter().find(|ec| ec.entity == e).expect("informative");
@@ -221,12 +220,11 @@ proptest! {
         c in arb_collection(12, 16),
         mask in 0u64..1 << 12,
     ) {
-        let mut scratch = CountScratch::new();
         let full = c.full_view();
         let sub = full.filter(|id| mask >> (id.0 % 12) & 1 == 1);
         for view in [&full, &sub] {
             let mut elements = Vec::new();
-            view.count_entities_with_fp_elements(&mut scratch, &mut elements);
+            view.count_entities_with_fp_elements(&mut elements);
             elements.sort_unstable_by_key(|s| s.entity);
             let mut postings = Vec::new();
             view.count_entities_with_fp_postings(&mut postings);
@@ -234,7 +232,7 @@ proptest! {
             // The auto-dispatched informative pass must match the reference
             // filtered the same way.
             let mut informative = Vec::new();
-            view.informative_with_fp(&mut scratch, &mut informative);
+            view.informative_with_fp(&mut informative);
             informative.sort_unstable_by_key(|s| s.entity);
             let expect: Vec<_> = elements
                 .into_iter()
@@ -263,10 +261,9 @@ fn bitmap_kernels_agree_on_large_mixed_density_collection() {
     );
     let full = c.full_view();
     let sub = full.filter(|id| id.0 % 3 != 1);
-    let mut scratch = CountScratch::new();
     for view in [&full, &sub] {
         let mut elements = Vec::new();
-        view.count_entities_with_fp_elements(&mut scratch, &mut elements);
+        view.count_entities_with_fp_elements(&mut elements);
         elements.sort_unstable_by_key(|s| s.entity);
         let mut postings = Vec::new();
         view.count_entities_with_fp_postings(&mut postings);
